@@ -10,8 +10,7 @@
 //   { "bench": "engine_hotpath",
 //     "rows": [ { "workload": ring_dfs | clique_sublinear | dumbbell_least_el
 //                            | clique_flood_max | adversary_off_overhead
-//                            | churn_off_overhead
-//                            | reliable_off_overhead | metrics_off_overhead
+//                            | churn_off_overhead | metrics_off_overhead
 //                            | ring_quiescent | ring_quiescent_perround,
 //                 "family": ring | clique | dumbbell, "n": ..., "m": ...,
 //                 "seed": ..., "threads": ..., "wall_ms": ...,
@@ -62,11 +61,6 @@
 //                    path: counter identity (including crashed, recoveries
 //                    and adv_crash_drops staying zero) is a hard failure,
 //                    the wall ratio is recorded, not gated.
-//   reliable_off_overhead  Flood-max on K_n twice: plain vs wrapped in the
-//                    reliable transport with enabled=false (transparent
-//                    pass-through).  Same contract as adversary_off_overhead:
-//                    counter identity is a hard failure, the wall ratio is
-//                    recorded, not gated.
 //   metrics_off_overhead  Flood-max on K_n twice: plain vs the SAME run with
 //                    engine telemetry enabled.  Metrics are pure observation,
 //                    so every RunResult counter must be identical (hard
@@ -457,66 +451,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- reliable_off_overhead: the wrapper-off contract, pinned ---
-  // The ARQ wrapper with enabled=false must be a transparent pass-through:
-  // no frame rewriting, no sequence numbers, no extra wakes — the exact
-  // counters of an unwrapped run.  Same discipline as adversary_off_overhead:
-  // counters compared hard, wall ratio recorded but not gated.
-  if (enabled("reliable_off_overhead")) {
-    for (std::size_t n :
-         capped(quick ? std::initializer_list<std::size_t>{48}
-                      : std::initializer_list<std::size_t>{512})) {
-      const Graph g = make_complete(n);
-      RunOptions opt;
-      opt.seed = seed;
-      opt.congest = CongestMode::Off;
-      opt.threads = threads;
-      opt.parallel_cutoff = parallel_cutoff;
-      const Measured plain = run_election_timed(g, make_flood_max(), opt);
-      ReliableConfig rcfg;
-      rcfg.enabled = false;
-      const Measured wrapped =
-          run_election_timed(g, make_reliable(make_flood_max(), rcfg), opt);
-      if (wrapped.run.rounds != plain.run.rounds ||
-          wrapped.run.executed_rounds != plain.run.executed_rounds ||
-          wrapped.run.node_steps != plain.run.node_steps ||
-          wrapped.run.messages != plain.run.messages ||
-          wrapped.run.bits != plain.run.bits ||
-          wrapped.run.elected != plain.run.elected ||
-          wrapped.run.last_progress != plain.run.last_progress ||
-          !wrapped.unique_leader) {
-        std::fprintf(stderr,
-                     "ZERO-OVERHEAD BREAK: disabled reliable wrapper diverges "
-                     "from the plain run on clique_flood_max n=%zu\n",
-                     n);
-        return 1;
-      }
-      const double ratio =
-          plain.wall_ms > 0 ? wrapped.wall_ms / plain.wall_ms : 1.0;
-      report.add_row()
-          .set("workload", "reliable_off_overhead")
-          .set("family", "clique")
-          .set("n", static_cast<std::uint64_t>(n))
-          .set("seed", seed)
-          .set("threads", static_cast<std::uint64_t>(threads))
-          .set("wall_ms", wrapped.wall_ms)
-          .set("plain_wall_ms", plain.wall_ms)
-          .set("wall_ratio", ratio)
-          .set("counters_identical", true);
-      std::printf("%-18s %-9s n=%-8zu t=%-2u %10.2f ms  vs plain %.2f ms  "
-                  "ratio %.3f (counters identical)\n",
-                  "rel_off_overhead", "clique", n, threads, wrapped.wall_ms,
-                  plain.wall_ms, ratio);
-    }
-  }
-
   // --- metrics_off_overhead: telemetry is pure observation, pinned ---
   // Enabling the metrics registry must not change a single RunResult counter:
   // gauges are sampled at a sequential point of the round pipeline and
   // counters are folded from the same lane totals the engine already bills.
   // Counters compared hard (exit 1 on divergence), wall ratio of the
   // metrics-ON run recorded but not gated — the same discipline as the
-  // adversary and reliable off-switch rows above.
+  // adversary and churn off-switch rows above.
   if (enabled("metrics_off_overhead")) {
     for (std::size_t n :
          capped(quick ? std::initializer_list<std::size_t>{48}

@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <string>
 
 #include "election/channels.hpp"
 #include "election/pif.hpp"
@@ -28,16 +27,20 @@ using namespace ule;
 
 namespace {
 
-struct TokenMsg final : Message {
-  bool stop = false;      ///< false: the circulating token; true: shutdown
-  std::uint32_t lap = 0;  ///< completed laps (token only)
-  std::uint32_t size_bits() const override {
-    return wire::kTypeTag + wire::kCounter + wire::kFlag;
-  }
-  std::string debug_string() const override {
-    return stop ? "stop" : "token(lap " + std::to_string(lap) + ")";
-  }
-};
+/// The token and the shutdown wave, on a channel no library protocol uses
+/// (election/channels.hpp).  A token carries its completed laps in `a`.
+constexpr std::uint8_t kTokenChannel = 100;
+constexpr std::uint16_t kToken = 1;
+constexpr std::uint16_t kStop = 2;
+
+FlatMsg token_msg(std::uint16_t type, std::uint64_t lap = 0) {
+  FlatMsg m;
+  m.type = type;
+  m.channel = kTokenChannel;
+  m.bits = wire::kTypeTag + wire::kCounter + wire::kFlag;
+  m.a = lap;
+  return m;
+}
 
 /// A token-ring station: elects via flood-max waves, then passes the token.
 class StationProcess final : public Process {
@@ -56,31 +59,27 @@ class StationProcess final : public Process {
   void on_round(Context& ctx, std::span<const Envelope> inbox) override {
     // --- token phase ----------------------------------------------------
     for (const auto& env : inbox) {
-      if (const auto* tok = dynamic_cast<const TokenMsg*>(env.msg.get())) {
-        if (tok->stop) {
-          if (!stopped_) {
-            stopped_ = true;
-            ctx.send(other_port(env.port), env.msg);  // pass it on, then out
-          }
-          ctx.halt();
-          return;
+      if (env.flat.channel != kTokenChannel) continue;
+      if (env.flat.type == kStop) {
+        if (!stopped_) {
+          stopped_ = true;
+          ctx.send(other_port(env.port), env.flat);  // pass it on, then out
         }
-        ++tokens_seen_;
-        auto fwd = std::make_shared<TokenMsg>();
-        if (leader_) {
-          // The token is home: one lap done.
-          if (tok->lap + 1 == laps_) {
-            fwd->stop = true;
-            ctx.send(other_port(env.port), fwd);
-            stopped_ = true;
-            continue;  // wait for the STOP to come around, then halt
-          }
-          fwd->lap = tok->lap + 1;
-        } else {
-          fwd->lap = tok->lap;
-        }
-        ctx.send(other_port(env.port), fwd);
+        ctx.halt();
+        return;
       }
+      ++tokens_seen_;
+      std::uint64_t lap = env.flat.a;
+      if (leader_) {
+        // The token is home: one lap done.
+        if (lap + 1 == laps_) {
+          ctx.send(other_port(env.port), token_msg(kStop));
+          stopped_ = true;
+          continue;  // wait for the STOP to come around, then halt
+        }
+        ++lap;
+      }
+      ctx.send(other_port(env.port), token_msg(kToken, lap));
     }
 
     // --- election phase (flood-max over the wave substrate) --------------
@@ -93,8 +92,7 @@ class StationProcess final : public Process {
         ctx.set_status(Status::Elected);
         decided_ = true;
         leader_ = true;
-        auto tok = std::make_shared<TokenMsg>();  // inject the new token
-        ctx.send(0, tok);
+        ctx.send(0, token_msg(kToken));  // inject the new token
       }
     }
     if (outbox_.flush(ctx)) return;

@@ -1,7 +1,6 @@
 #include "bounds/truncation.hpp"
 
 #include <memory>
-#include <string>
 
 #include "net/engine.hpp"
 #include "net/message.hpp"
@@ -9,15 +8,14 @@
 namespace ule {
 
 namespace {
-struct RankMsg final : Message {
-  std::uint64_t value = 0;
-  std::uint32_t size_bits() const override {
-    return wire::kTypeTag + wire::kIdField;
-  }
-  std::string debug_string() const override {
-    return "ball-max(" + std::to_string(value) + ")";
-  }
-};
+/// The flooded rank.  BallMaxProcess runs alone, so it needs no channel.
+FlatMsg rank_msg(std::uint64_t value) {
+  FlatMsg m;
+  m.type = 1;
+  m.bits = wire::kTypeTag + wire::kIdField;
+  m.a = value;
+  return m;
+}
 }  // namespace
 
 void BallMaxProcess::on_wake(Context& ctx, std::span<const Envelope> inbox) {
@@ -27,9 +25,7 @@ void BallMaxProcess::on_wake(Context& ctx, std::span<const Envelope> inbox) {
     decide(ctx);
     return;
   }
-  auto m = std::make_shared<RankMsg>();
-  m->value = own_;
-  ctx.broadcast(m);
+  ctx.broadcast(rank_msg(own_));
   on_round(ctx, inbox);
 }
 
@@ -42,18 +38,11 @@ void BallMaxProcess::decide(Context& ctx) {
 void BallMaxProcess::on_round(Context& ctx, std::span<const Envelope> inbox) {
   if (decided_) return;
   std::uint64_t incoming = 0;
-  for (const auto& env : inbox) {
-    if (const auto* rm = dynamic_cast<const RankMsg*>(env.msg.get()))
-      incoming = std::max(incoming, rm->value);
-  }
+  for (const auto& env : inbox) incoming = std::max(incoming, env.flat.a);
   if (incoming > best_) {
     best_ = incoming;
     // Still within the horizon: keep flooding improvements.
-    if (ctx.round() < horizon_) {
-      auto m = std::make_shared<RankMsg>();
-      m->value = best_;
-      ctx.broadcast(m);
-    }
+    if (ctx.round() < horizon_) ctx.broadcast(rank_msg(best_));
   }
   if (ctx.round() >= horizon_) {
     decide(ctx);

@@ -7,6 +7,8 @@
 
 #include <cstdint>
 
+#include "net/reliable.hpp"
+
 namespace ule::channel {
 
 inline constexpr std::uint8_t kLeastEl = 1;
@@ -19,5 +21,8 @@ inline constexpr std::uint8_t kBroadcast = 7;
 inline constexpr std::uint8_t kDfs = 8;
 inline constexpr std::uint8_t kSublinear = 9;
 inline constexpr std::uint8_t kExplicit = 10;  ///< leader-announcement overlay
+/// Reserved for the ARQ link layer's pure acks (net/reliable.hpp); no
+/// protocol may use it.
+inline constexpr std::uint8_t kReliableAck = kReliableAckChannel;
 
 }  // namespace ule::channel

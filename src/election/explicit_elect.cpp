@@ -21,11 +21,8 @@ class ExplicitProcess::PassThroughCtx final : public Context {
   Round round() const override { return real_.round(); }
   Rng& rng() override { return real_.rng(); }
   const Knowledge& knowledge() const override { return real_.knowledge(); }
-  void send(PortId port, MessagePtr msg) override {
-    real_.send(port, std::move(msg));
-  }
-  void send(PortId port, const FlatMsg& msg) override {
-    real_.send(port, msg);
+  void send(PortId port, const FlatMsg& msg, const LinkHeader& link) override {
+    real_.send(port, msg, link);
   }
   Status status() const override { return real_.status(); }
 

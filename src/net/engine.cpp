@@ -34,11 +34,8 @@ class SyncEngine::Ctx final : public Context {
   Rng& rng() override { return eng_.nodes_[slot_].rng; }
   const Knowledge& knowledge() const override { return eng_.knowledge_; }
 
-  void send(PortId port, MessagePtr msg) override {
-    eng_.do_send(*lane_, slot_, port, std::move(msg));
-  }
-  void send(PortId port, const FlatMsg& msg) override {
-    eng_.do_send(*lane_, slot_, port, msg);
+  void send(PortId port, const FlatMsg& msg, const LinkHeader& link) override {
+    eng_.do_send(*lane_, slot_, port, msg, link);
   }
 
   void set_status(Status s) override {
@@ -206,9 +203,7 @@ std::uint32_t SyncEngine::congest_budget() const {
 
 const Graph::HalfEdge& SyncEngine::account_send(SendLane& lane, NodeId from,
                                                 PortId port,
-                                                std::uint32_t bits,
-                                                const FlatMsg* flat,
-                                                const Message* legacy) {
+                                                const FlatMsg& msg) {
   if (port >= graph_.degree(from))
     throw std::out_of_range("send on invalid port " + std::to_string(port) +
                             " at node " + std::to_string(from));
@@ -216,13 +211,13 @@ const Graph::HalfEdge& SyncEngine::account_send(SendLane& lane, NodeId from,
   if (congest_on_) {
     const std::size_t dp = dir_port_offset_[from] + port;
     const bool dup = last_send_round_[dp] == round_;
-    const bool too_big = bits > congest_budget();
+    const bool too_big = msg.bits > congest_budget();
     if (dup || too_big) [[unlikely]] {
       if (cfg_.congest == CongestMode::Enforce) {
         throw std::runtime_error(
             std::string("CONGEST violation at node ") + std::to_string(from) +
             (dup ? " (two messages on one port in a round)"
-                 : " (message of " + std::to_string(bits) +
+                 : " (message of " + std::to_string(msg.bits) +
                        " bits exceeds budget " +
                        std::to_string(congest_budget()) + ")"));
       }
@@ -240,12 +235,12 @@ const Graph::HalfEdge& SyncEngine::account_send(SendLane& lane, NodeId from,
     ev.node = from;
     ev.port = port;
     ev.peer = he.to;
-    ev.detail = legacy ? legacy->debug_string() : flat_debug_string(*flat);
+    ev.detail = flat_debug_string(msg);
     record(std::move(ev));
   }
 
   ++lane.messages;
-  lane.bits += bits;
+  lane.bits += msg.bits;
   ++sent_by_node_[from];
   if (traffic_on_) [[unlikely]] ++edge_traffic_[he.edge];
   if (watching_) [[unlikely]] {
@@ -263,34 +258,20 @@ const Graph::HalfEdge& SyncEngine::account_send(SendLane& lane, NodeId from,
 }
 
 void SyncEngine::do_send(SendLane& lane, NodeId from, PortId port,
-                         MessagePtr msg) {
-  if (!msg) throw std::invalid_argument("null message");
-  const Graph::HalfEdge& he =
-      account_send(lane, from, port, msg->size_bits(), nullptr, msg.get());
-  if (send_faults_on_) [[unlikely]] {
-    adv_enqueue(lane, from, he, FlatMsg{}, std::move(msg));
-    return;
-  }
-  lane.out.push_back(
-      OutboundEnvelope{he.to, he.rev, he.edge, FlatMsg{}, std::move(msg)});
-}
-
-void SyncEngine::do_send(SendLane& lane, NodeId from, PortId port,
-                         const FlatMsg& msg) {
+                         const FlatMsg& msg, const LinkHeader& link) {
   if (msg.type == 0)
     throw std::invalid_argument("flat message without a type tag");
-  const Graph::HalfEdge& he =
-      account_send(lane, from, port, msg.bits, &msg, nullptr);
+  const Graph::HalfEdge& he = account_send(lane, from, port, msg);
   if (send_faults_on_) [[unlikely]] {
-    adv_enqueue(lane, from, he, msg, nullptr);
+    adv_enqueue(lane, from, he, msg, link);
     return;
   }
-  lane.out.push_back(OutboundEnvelope{he.to, he.rev, he.edge, msg, nullptr});
+  lane.out.push_back(OutboundEnvelope{he.to, he.rev, he.edge, msg, link});
 }
 
 void SyncEngine::adv_enqueue(SendLane& lane, NodeId from,
-                             const Graph::HalfEdge& he, const FlatMsg& flat,
-                             MessagePtr msg) {
+                             const Graph::HalfEdge& he, const FlatMsg& msg,
+                             const LinkHeader& link) {
   const AdversaryConfig& adv = cfg_.adversary;
   // account_send already billed this send and bumped sent_by_node_[from]; the
   // post-increment value is the sender's send index — a pure function of the
@@ -306,10 +287,7 @@ void SyncEngine::adv_enqueue(SendLane& lane, NodeId from,
       (adv.duplicate > 0.0 && coin.bernoulli(adv.duplicate)) ? 2 : 1;
   if (copies == 2) ++lane.adv_dups;
   for (int c = 0; c < copies; ++c) {
-    // The duplicate shares the payload: FlatMsg by value, legacy MessagePtr
-    // by refcount (payloads are immutable by the Process contract).
-    lane.out.push_back(OutboundEnvelope{he.to, he.rev, he.edge, flat,
-                                        c + 1 == copies ? std::move(msg) : msg});
+    lane.out.push_back(OutboundEnvelope{he.to, he.rev, he.edge, msg, link});
     if (delays_on_) {
       const Round extra = coin.below(adv.max_delay + 1);
       lane.adv_arrive.push_back(round_ + 1 + extra);
@@ -366,11 +344,8 @@ void SyncEngine::deliver_round() {
       for (SendLane& lane : lanes_) {
         const std::size_t sz = lane.out.size();
         while (lo < hi && lo < base + sz) {
-          OutboundEnvelope& f = lane.out[lo - base];
-          Envelope& env = delivery_[scatter_pos_[lo]];
-          env.port = f.at_port;
-          env.flat = f.flat;
-          env.msg = std::move(f.msg);
+          const OutboundEnvelope& f = lane.out[lo - base];
+          delivery_[scatter_pos_[lo]] = Envelope{f.at_port, f.flat, f.link};
           ++lo;
         }
         base += sz;
@@ -380,11 +355,9 @@ void SyncEngine::deliver_round() {
     for (SendLane& lane : lanes_) lane.out.clear();
   } else {
     for (SendLane& lane : lanes_) {
-      for (OutboundEnvelope& f : lane.out) {
-        Envelope& env = delivery_[inbox_off_[f.to] + inbox_len_[f.to]++];
-        env.port = f.at_port;
-        env.flat = f.flat;
-        env.msg = std::move(f.msg);
+      for (const OutboundEnvelope& f : lane.out) {
+        delivery_[inbox_off_[f.to] + inbox_len_[f.to]++] =
+            Envelope{f.at_port, f.flat, f.link};
       }
       lane.out.clear();
     }
@@ -401,7 +374,7 @@ void SyncEngine::deliver_round_delayed() {
   std::vector<OutboundEnvelope>& due_slot = delay_ring_[round_ % W];
   if (!due_slot.empty()) {
     pending_count_ -= due_slot.size();
-    for (OutboundEnvelope& f : due_slot) adv_due_.push_back(std::move(f));
+    adv_due_.insert(adv_due_.end(), due_slot.begin(), due_slot.end());
     due_slot.clear();
   }
   // Route last round's fresh sends (lane order = send order) by their drawn
@@ -412,9 +385,9 @@ void SyncEngine::deliver_round_delayed() {
   for (SendLane& lane : lanes_) {
     for (std::size_t i = 0; i < lane.out.size(); ++i) {
       if (lane.adv_arrive[i] <= round_) {
-        adv_due_.push_back(std::move(lane.out[i]));
+        adv_due_.push_back(lane.out[i]);
       } else {
-        delay_ring_[lane.adv_arrive[i] % W].push_back(std::move(lane.out[i]));
+        delay_ring_[lane.adv_arrive[i] % W].push_back(lane.out[i]);
         ++pending_count_;
       }
     }
@@ -437,11 +410,9 @@ void SyncEngine::deliver_round_delayed() {
     inbox_len_[s] = 0;  // reused as the fill cursor during the scatter
   }
   delivery_.resize(adv_due_.size());
-  for (OutboundEnvelope& f : adv_due_) {
-    Envelope& env = delivery_[inbox_off_[f.to] + inbox_len_[f.to]++];
-    env.port = f.at_port;
-    env.flat = f.flat;
-    env.msg = std::move(f.msg);
+  for (const OutboundEnvelope& f : adv_due_) {
+    delivery_[inbox_off_[f.to] + inbox_len_[f.to]++] =
+        Envelope{f.at_port, f.flat, f.link};
   }
   adv_due_.clear();
 }

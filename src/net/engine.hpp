@@ -23,9 +23,8 @@
 // Delivery uses a flat CSR-style buffer: in-flight envelopes are bucketed by
 // destination (stable, preserving send order) into one contiguous array with
 // per-node offsets, replacing the old vector-of-vectors inbox and its
-// per-node reallocation.  Messages themselves prefer the inline FlatMsg
-// representation (net/message.hpp) — the common case moves zero heap blocks
-// per round.
+// per-node reallocation.  Messages are inline FlatMsg values (net/message.hpp)
+// with an opaque link header, so delivery moves zero heap blocks per round.
 //
 // PARALLEL ROUND PIPELINE (EngineConfig::threads > 1): within a round the
 // synchronous model has no intra-node dependencies — every node reads last
@@ -143,8 +142,8 @@ struct EngineConfig {
   /// (adversary.seed, sender, edge, send index), never by execution order.
   AdversaryConfig adversary;
   /// Engine telemetry (net/metrics.hpp).  Default = off, with the same
-  /// pinned zero-overhead contract as the inert adversary and the disabled
-  /// reliable wrapper: a disabled-metrics run reproduces every RunResult
+  /// pinned zero-overhead contract as the inert adversary and the empty
+  /// churn schedule: a disabled-metrics run reproduces every RunResult
   /// counter of a metrics-free build (metrics_off_overhead bench row).
   /// When on, RunResult::metrics carries a snapshot that is bit-for-bit
   /// identical at every thread count.
@@ -361,13 +360,12 @@ class SyncEngine {
 
   class Ctx;  // Context implementation, defined in engine.cpp
 
-  void do_send(SendLane& lane, NodeId from, PortId port, MessagePtr msg);
-  void do_send(SendLane& lane, NodeId from, PortId port, const FlatMsg& msg);
-  /// Shared send bookkeeping (congest, counters, watches, trace); returns
-  /// the traversed half-edge.  `legacy` is null on the flat path.
+  void do_send(SendLane& lane, NodeId from, PortId port, const FlatMsg& msg,
+               const LinkHeader& link);
+  /// Send bookkeeping (congest, counters, watches, trace); returns the
+  /// traversed half-edge.
   const Graph::HalfEdge& account_send(SendLane& lane, NodeId from, PortId port,
-                                      std::uint32_t bits, const FlatMsg* flat,
-                                      const Message* legacy);
+                                      const FlatMsg& msg);
   std::uint32_t congest_budget() const;
 
   /// Execute one node's step (wake or round) through `ctx`.  Forced inline:
@@ -414,7 +412,7 @@ class SyncEngine {
   /// Adversary hook inside do_send (send_faults_on_ only): roll drop /
   /// duplicate / delay coins and append the surviving envelope copies.
   void adv_enqueue(SendLane& lane, NodeId from, const Graph::HalfEdge& he,
-                   const FlatMsg& flat, MessagePtr msg);
+                   const FlatMsg& msg, const LinkHeader& link);
   /// Seeded per-receiver inbox shuffles (reorder_on_ only), applied after
   /// delivery, before any node steps.
   void apply_reorder();

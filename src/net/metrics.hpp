@@ -17,8 +17,8 @@
 //    every thread count.  Tests pin this at threads {1,2,4}.
 //  * Zero overhead off.  `EngineConfig::metrics.enabled = false` (the
 //    default) must reproduce every RunResult counter of a metrics-free
-//    build, the same pinned contract as the inert adversary and the
-//    disabled reliable wrapper (`metrics_off_overhead` bench row).
+//    build, the same pinned contract as the inert adversary and the empty
+//    churn schedule (`metrics_off_overhead` bench row).
 //  * bench::JsonReport-compatible output.  metrics_json() renders the
 //    snapshot as `{"bench": "engine_metrics", "rows": [...]}` with the same
 //    formatting conventions as bench/bench_util.hpp, so the nightly job can

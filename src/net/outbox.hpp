@@ -36,8 +36,8 @@
 // number of concurrently outstanding protocol items per edge (a constant or
 // O(log n)).
 //
-// Both message representations queue here: flat messages (the hot path) are
-// stored by value, legacy MessagePtr payloads by pointer (net/message.hpp).
+// A queued message is stored by value together with its link header
+// (net/message.hpp), exactly what Context::send takes.
 //
 // Usage pattern inside a Process:
 //
@@ -56,7 +56,7 @@
 #include <cstdint>
 #include <exception>
 #include <stdexcept>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 #include "net/message.hpp"
@@ -65,15 +65,18 @@
 namespace ule {
 
 /// An envelope on its way to next round's inbox: destination slot, the
-/// arrival port there, the traversed edge, and the payload in either wire
-/// representation (exactly one of `flat` / `msg` is populated).
+/// arrival port there, the traversed edge, the message and its link header.
 struct OutboundEnvelope {
   NodeId to = kNoNode;
   PortId at_port = kNoPort;
   EdgeId edge = kNoEdge;
   FlatMsg flat;
-  MessagePtr msg;
+  LinkHeader link;
 };
+
+// Lanes, the delay ring and the CSR scatter move these by the million.
+static_assert(std::is_trivially_copyable_v<OutboundEnvelope>);
+static_assert(sizeof(OutboundEnvelope) <= 64);
 
 /// One worker's private outbox arena and counter block (see file comment).
 /// Cache-line aligned so two workers' counter increments never share a line.
@@ -101,19 +104,13 @@ class PortOutbox {
  public:
   /// Queue `msg` for port `port`; it is sent by the first flush() that finds
   /// no earlier message queued ahead of it on the same port.
-  void queue(PortId port, MessagePtr msg) {
-    push(port, Queued{FlatMsg{}, std::move(msg), kNil});
-  }
-  void queue(PortId port, const FlatMsg& msg) {
+  void queue(PortId port, const FlatMsg& msg, const LinkHeader& link = {}) {
     if (msg.type == 0)  // fail here, not at a far-away flush()
       throw std::invalid_argument("flat message without a type tag");
-    push(port, Queued{msg, nullptr, kNil});
+    push(port, Queued{msg, link, kNil});
   }
 
   /// Queue the same payload on every port of `ctx` (paced broadcast).
-  void queue_broadcast(const Context& ctx, const MessagePtr& msg) {
-    for (PortId p = 0; p < ctx.degree(); ++p) queue(p, msg);
-  }
   void queue_broadcast(const Context& ctx, const FlatMsg& msg) {
     for (PortId p = 0; p < ctx.degree(); ++p) queue(p, msg);
   }
@@ -126,14 +123,9 @@ class PortOutbox {
       const std::uint32_t slot = heads_[p].head;
       if (slot == kNil) continue;
       Queued& head = pool_[slot];
-      if (head.flat.type != 0) {
-        ctx.send(p, head.flat);
-      } else {
-        ctx.send(p, std::move(head.msg));
-      }
+      ctx.send(p, head.flat, head.link);
       heads_[p].head = head.next;
       if (head.next == kNil) heads_[p].tail = kNil;
-      head.msg = nullptr;  // release the payload while it sits on free list
       head.next = free_;
       free_ = slot;
       --queued_;
@@ -148,8 +140,8 @@ class PortOutbox {
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
   struct Queued {
-    FlatMsg flat;        ///< valid iff flat.type != 0
-    MessagePtr msg;      ///< legacy path otherwise
+    FlatMsg flat;
+    LinkHeader link;
     std::uint32_t next;  ///< next arena slot on the same port (or free list)
   };
 
@@ -158,16 +150,16 @@ class PortOutbox {
     std::uint32_t tail = kNil;
   };
 
-  void push(PortId port, Queued&& q) {
+  void push(PortId port, const Queued& q) {
     if (heads_.size() <= port) heads_.resize(std::size_t{port} + 1);
     std::uint32_t slot;
     if (free_ != kNil) {
       slot = free_;
       free_ = pool_[slot].next;
-      pool_[slot] = std::move(q);
+      pool_[slot] = q;
     } else {
       slot = static_cast<std::uint32_t>(pool_.size());
-      pool_.push_back(std::move(q));
+      pool_.push_back(q);
     }
     PortList& pl = heads_[port];
     if (pl.tail == kNil) {

@@ -22,9 +22,9 @@
 // net/rng.hpp), status, scheduling verbs, and sends (routed to a per-worker
 // outbox lane) — but must NOT read or write state shared with other
 // Processes.  Everything reachable through Context besides those is
-// read-only shared data (graph topology, uids, Knowledge).  Holding copies
-// of immutable payloads via MessagePtr is fine (shared_ptr refcounts are
-// atomic).  Every Process in this library is self-contained per node;
+// read-only shared data (graph topology, uids, Knowledge).  Messages are
+// plain values (net/message.hpp), so a received envelope may be copied and
+// kept freely.  Every Process in this library is self-contained per node;
 // factories must not hand out objects with shared mutable state if runs may
 // use threads > 1.
 
@@ -57,10 +57,12 @@ class Context {
   virtual const Knowledge& knowledge() const = 0;
 
   // --- actions ---
-  virtual void send(PortId port, MessagePtr msg) = 0;
-  /// Flat fast path: the message is copied inline into the engine's delivery
-  /// buffers — no allocation, no refcounting (see net/message.hpp).
-  virtual void send(PortId port, const FlatMsg& msg) = 0;
+  /// Send `msg` on `port`; it arrives next round (net/message.hpp).  The
+  /// message is copied inline into the engine's delivery buffers.  `link` is
+  /// the link-layer header, delivered beside the message and never read by
+  /// the engine; protocols leave it zeroed.
+  virtual void send(PortId port, const FlatMsg& msg,
+                    const LinkHeader& link = {}) = 0;
   virtual void set_status(Status s) = 0;
   virtual Status status() const = 0;
 
@@ -73,9 +75,6 @@ class Context {
   virtual void halt() = 0;
 
   /// Convenience: send the same payload on every port.
-  void broadcast(const MessagePtr& msg) {
-    for (PortId p = 0; p < degree(); ++p) send(p, msg);
-  }
   void broadcast(const FlatMsg& msg) {
     for (PortId p = 0; p < degree(); ++p) send(p, msg);
   }

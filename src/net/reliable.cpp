@@ -1,25 +1,16 @@
 #include "net/reliable.hpp"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 #include "net/metrics.hpp"
 
 namespace ule {
 
-std::string ReliableFrame::debug_string() const {
-  std::string s = seq == 0 ? "rel-ack" : "rel#" + std::to_string(seq);
-  if (epoch != 0) s += "e" + std::to_string(epoch);
-  s += " ack=" + std::to_string(ack);
-  if (ack_epoch != 0) s += "e" + std::to_string(ack_epoch);
-  if (inner_flat.type != 0) {
-    s += " [" + flat_debug_string(inner_flat) + "]";
-  } else if (inner_msg) {
-    s += " [" + inner_msg->debug_string() + "]";
-  }
-  return s;
-}
+namespace {
+/// A pure ack's payload; send_frame adds the header bits.
+constexpr FlatMsg kPureAck{kReliableAckType, kReliableAckChannel};
+}  // namespace
 
 // A Context that passes everything through to the engine's context except
 // sends (captured into the per-port ARQ queues) and the scheduling verbs
@@ -40,11 +31,9 @@ class ReliableProcess::CaptureCtx final : public Context {
   Rng& rng() override { return real_.rng(); }
   const Knowledge& knowledge() const override { return real_.knowledge(); }
 
-  void send(PortId port, MessagePtr msg) override {
-    owner_.enqueue_data(port, Payload{FlatMsg{}, std::move(msg)}, real_.round());
-  }
-  void send(PortId port, const FlatMsg& msg) override {
-    owner_.enqueue_data(port, Payload{msg, nullptr}, real_.round());
+  // The inner protocol's link header stays zero; the wrapper writes its own.
+  void send(PortId port, const FlatMsg& msg, const LinkHeader&) override {
+    owner_.enqueue_data(port, msg, real_.round());
   }
 
   void set_status(Status s) override { real_.set_status(s); }
@@ -85,14 +74,10 @@ void ReliableProcess::arm_deadline(PortState& ps, Round now) const {
 void ReliableProcess::ingest(Context& ctx, std::span<const Envelope> inbox,
                              std::vector<Envelope>& inner_inbox) {
   const Round now = ctx.round();
+  // Every peer runs the same wrapped factory, so every arrival is a frame:
+  // a pure ack when its seq is 0, a data frame otherwise.
   for (const Envelope& env : inbox) {
-    const auto* frame = dynamic_cast<const ReliableFrame*>(env.msg.get());
-    if (frame == nullptr) {
-      // Not ARQ traffic (every peer runs the same wrapped factory, so this
-      // only happens for wrapper-off runs mixed in by tests): pass through.
-      inner_inbox.push_back(env);
-      continue;
-    }
+    const LinkHeader& hdr = env.link;
     PortState& ps = ports_[env.port];
 
     // Cumulative ack: pop everything the peer has now delivered.  Progress
@@ -100,45 +85,46 @@ void ReliableProcess::ingest(Context& ctx, std::span<const Envelope> inbox,
     // Epoch-qualified: an ack for a dead life of our stream (the peer acking
     // frames from before a heal) must never pop the successor stream's
     // frames, so only an ack naming our current epoch counts.
-    if (frame->ack_epoch == ps.epoch && frame->ack > ps.acked) {
-      ps.acked = frame->ack;
-      while (!ps.unacked.empty() && ps.unacked.front().seq <= frame->ack)
+    if (hdr.ack_epoch == ps.epoch && hdr.ack > ps.acked) {
+      ps.acked = hdr.ack;
+      while (!ps.unacked.empty() && ps.unacked.front().seq <= hdr.ack)
         ps.unacked.pop_front();
       ps.attempts = 0;
       arm_deadline(ps, now);
     }
 
-    if (frame->seq == 0) continue;  // pure ack: no data side
+    if (hdr.seq == 0) continue;  // pure ack: no data side
 
     // Epoch gate before any resequencing.  Older epoch = a stale retransmit
     // from a dead life of the peer's stream: discard and count — parking it
     // would let a dead life's seqs corrupt the successor stream's cursor.
     // Newer epoch = the peer healed (or is a reborn node's fresh wrapper):
     // adopt it by resetting the delivery cursor and the parked buffer.
-    if (frame->epoch < ps.rx_epoch) {
+    if (hdr.epoch < ps.rx_epoch) {
       ++stale_epoch_drops_;
       continue;
     }
-    if (frame->epoch > ps.rx_epoch) {
-      ps.rx_epoch = frame->epoch;
+    if (hdr.epoch > ps.rx_epoch) {
+      ps.rx_epoch = hdr.epoch;
       ps.expected = 1;
       ps.parked.clear();
     }
 
-    if (frame->seq < ps.expected) {
+    // The inner protocol sees its message exactly as it was sent.
+    FlatMsg inner = env.flat;
+    inner.bits -= kReliableHeaderBits;
+    if (hdr.seq < ps.expected) {
       // Duplicate of a delivered frame — the peer is retransmitting, so our
       // ack was lost: re-ack (standalone if no data rides this round).
       ++duplicate_drops_;
       ps.ack_due = true;
-    } else if (frame->seq == ps.expected) {
+    } else if (hdr.seq == ps.expected) {
       // In order: deliver, then drain every parked successor.
-      inner_inbox.push_back(
-          Envelope{env.port, frame->inner_flat, frame->inner_msg});
+      inner_inbox.push_back(Envelope{env.port, inner, {}});
       ++ps.expected;
       for (auto it = ps.parked.find(ps.expected); it != ps.parked.end();
            it = ps.parked.find(ps.expected)) {
-        inner_inbox.push_back(
-            Envelope{env.port, it->second.flat, it->second.msg});
+        inner_inbox.push_back(Envelope{env.port, it->second, {}});
         ps.parked.erase(it);
         ++ps.expected;
       }
@@ -147,9 +133,7 @@ void ReliableProcess::ingest(Context& ctx, std::span<const Envelope> inbox,
       // Out of order: park until the gap fills (dedup via try_emplace), and
       // re-ack so the sender learns the gap persists.  A re-park of an
       // already-parked seq is a duplicate, not new reordering pressure.
-      if (ps.parked.try_emplace(frame->seq,
-                                Payload{frame->inner_flat, frame->inner_msg})
-              .second)
+      if (ps.parked.try_emplace(hdr.seq, inner).second)
         ++parked_frames_;
       else
         ++duplicate_drops_;
@@ -158,7 +142,8 @@ void ReliableProcess::ingest(Context& ctx, std::span<const Envelope> inbox,
   }
 }
 
-void ReliableProcess::enqueue_data(PortId port, Payload payload, Round now) {
+void ReliableProcess::enqueue_data(PortId port, const FlatMsg& msg,
+                                   Round now) {
   PortState& ps = ports_[port];
   if (ps.dead) {
     // Heal: the first fresh send after a give-up re-arms the port as a new
@@ -177,20 +162,18 @@ void ReliableProcess::enqueue_data(PortId port, Payload payload, Round now) {
   if (ps.next_seq == 1)
     ps.epoch = static_cast<std::uint32_t>(now) + 1;
   const std::uint32_t seq = ps.next_seq++;
-  ps.unacked.push_back(Unacked{seq, std::move(payload)});
+  ps.unacked.push_back(Unacked{seq, msg});
   ++ps.fresh;
 }
 
 void ReliableProcess::send_frame(Context& ctx, PortId port, std::uint32_t seq,
-                                 const Payload& payload) {
-  auto frame = std::make_shared<ReliableFrame>();
-  frame->seq = seq;
-  frame->epoch = ports_[port].epoch;
-  frame->ack = ports_[port].expected - 1;  // cumulative
-  frame->ack_epoch = ports_[port].rx_epoch;
-  frame->inner_flat = payload.flat;
-  frame->inner_msg = payload.msg;
-  ctx.send(port, MessagePtr(std::move(frame)));
+                                 const FlatMsg& msg) {
+  const PortState& ps = ports_[port];
+  FlatMsg frame = msg;
+  frame.bits += kReliableHeaderBits;
+  // Cumulative ack: every seq below `expected` has been delivered.
+  ctx.send(port, frame,
+           LinkHeader{seq, ps.epoch, ps.expected - 1, ps.rx_epoch});
 }
 
 void ReliableProcess::flush(Context& ctx) {
@@ -216,7 +199,7 @@ void ReliableProcess::flush(Context& ctx) {
       } else {
         // Go-back-all: retransmit every unacked frame (the receiver dedups
         // and re-acks, so over-sending costs messages, never correctness).
-        for (const Unacked& u : ps.unacked) send_frame(ctx, p, u.seq, u.payload);
+        for (const Unacked& u : ps.unacked) send_frame(ctx, p, u.seq, u.msg);
         retransmissions_ += ps.unacked.size();
         ps.fresh = 0;  // fresh frames went out with the batch
         sent_data = true;
@@ -228,7 +211,7 @@ void ReliableProcess::flush(Context& ctx) {
       // First transmission of the frames the inner enqueued this step.
       const std::size_t start = ps.unacked.size() - ps.fresh;
       for (std::size_t i = start; i < ps.unacked.size(); ++i)
-        send_frame(ctx, p, ps.unacked[i].seq, ps.unacked[i].payload);
+        send_frame(ctx, p, ps.unacked[i].seq, ps.unacked[i].msg);
       ps.fresh = 0;
       sent_data = true;
       arm_deadline(ps, now);
@@ -238,7 +221,7 @@ void ReliableProcess::flush(Context& ctx) {
       ps.ack_due = false;  // the cumulative ack rode on the data frames
     } else if (ps.ack_due) {
       // Ack news but no traffic to piggyback on: one standalone ack frame.
-      send_frame(ctx, p, 0, Payload{});
+      send_frame(ctx, p, 0, kPureAck);
       ps.ack_due = false;
     }
   }
@@ -246,18 +229,6 @@ void ReliableProcess::flush(Context& ctx) {
 
 void ReliableProcess::run_step(Context& ctx, std::span<const Envelope> inbox,
                                bool wake) {
-  if (!cfg_.enabled) {
-    // Transparent pass-through: the inner process runs against the real
-    // context — bit-for-bit identical to an unwrapped run (pinned by the
-    // reliable_off_overhead bench row).
-    if (wake) {
-      inner_->on_wake(ctx, inbox);
-    } else {
-      inner_->on_round(ctx, inbox);
-    }
-    return;
-  }
-
   if (ports_.empty() && ctx.degree() > 0) ports_.resize(ctx.degree());
 
   std::vector<Envelope> inner_inbox;
@@ -321,18 +292,13 @@ void ReliableProcess::on_round(Context& ctx, std::span<const Envelope> inbox) {
 }
 
 void ReliableProcess::export_metrics(MetricsSink& sink) const {
-  // The disabled wrapper is a transparent pass-through with no ARQ state —
-  // reporting (all-zero) counters would make a wrapped-off snapshot differ
-  // from an unwrapped one, which the zero-overhead contract forbids.
-  if (cfg_.enabled) {
-    sink.counter("arq.retransmissions", retransmissions_);
-    sink.counter("arq.duplicate_drops", duplicate_drops_);
-    sink.counter("arq.parked_frames", parked_frames_);
-    sink.counter("arq.dead_links", dead_links_);
-    sink.counter("arq.dead_link_drops", dead_link_drops_);
-    sink.counter("arq.healed_links", healed_links_);
-    sink.counter("arq.stale_epoch_drops", stale_epoch_drops_);
-  }
+  sink.counter("arq.retransmissions", retransmissions_);
+  sink.counter("arq.duplicate_drops", duplicate_drops_);
+  sink.counter("arq.parked_frames", parked_frames_);
+  sink.counter("arq.dead_links", dead_links_);
+  sink.counter("arq.dead_link_drops", dead_link_drops_);
+  sink.counter("arq.healed_links", healed_links_);
+  sink.counter("arq.stale_epoch_drops", stale_epoch_drops_);
   inner_->export_metrics(sink);
 }
 

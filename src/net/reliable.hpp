@@ -43,26 +43,26 @@
 // stay bit-for-bit deterministic at every thread count, exactly like the
 // adversary itself.
 //
-// Wire format (legacy Message path — the frame carries an entire inner
-// FlatMsg or MessagePtr plus the ARQ header, which no 32-byte FlatMsg can):
+// Wire format: a frame is one FlatMsg plus the envelope's LinkHeader
+// (net/message.hpp), which the engine carries inline and never reads.
 //
-//   ReliableFrame { seq+epoch, ack+ack_epoch, inner payload }
-//     seq        32-bit per-(edge, direction) sequence number; 0 = pure ack
-//     epoch      32-bit epoch of the seq stream (packs into seq's counter
-//                field — kCounter is 64-bit, seq uses the low half)
-//     ack        32-bit cumulative ack: every seq <= ack has been delivered
-//     ack_epoch  32-bit epoch the ack refers to (packs into ack's field)
-//     size_bits = kTypeTag + 2*kCounter (= 72) + inner payload bits
-//     (the epoch tags ride in the existing header budget — no bit drift)
+//   data frame  the inner FlatMsg as sent, with bits = inner.bits + 72
+//   pure ack    FlatMsg{type kReliableAckType, channel kReliableAckChannel,
+//               bits = 72}; the channel is reserved in election/channels.hpp
+//   LinkHeader  seq        per-(edge, direction) sequence number; 0 = pure ack
+//               epoch      epoch of the seq stream
+//               ack        cumulative ack: every seq <= ack has been delivered
+//               ack_epoch  epoch of the peer's stream the ack refers to
 //
-// The header rides on top of whatever the inner protocol pays, so reliable
-// registry variants raise their CONGEST budget by kReliableHeaderBits
-// (a link-layer header keeps O(log n) messages O(log n)).
+// The 72 header bits are kReliableHeaderBits = kTypeTag + 2*kCounter (tag,
+// seq, ack); the epoch tags ride in that budget, so link healing added no
+// bits.  The engine bills `bits` as
+// usual and knows nothing about ARQ; the receiving wrapper subtracts the
+// header again, so the inner protocol sees its own `bits` value.  Reliable
+// registry variants raise their CONGEST budget by kReliableHeaderBits (a
+// link-layer header keeps O(log n) messages O(log n)).
 //
-// ReliableConfig{enabled = false} is a transparent pass-through: the inner
-// process runs against the real Context with no interception at all, and the
-// `reliable_off_overhead` bench row pins counter identity with an unwrapped
-// run (the zero-overhead contract, same as adversary_off_overhead).
+// A caller that wants no ARQ does not wrap.
 
 #pragma once
 
@@ -82,9 +82,12 @@ namespace ule {
 inline constexpr std::uint32_t kReliableHeaderBits =
     wire::kTypeTag + 2 * wire::kCounter;
 
+/// The pure ack's payload tag.  The channel is the link layer's own and is
+/// reserved in election/channels.hpp, so no protocol message collides.
+inline constexpr std::uint8_t kReliableAckChannel = 255;
+inline constexpr std::uint16_t kReliableAckType = 1;
+
 struct ReliableConfig {
-  /// false = transparent pass-through (zero interception, zero overhead).
-  bool enabled = true;
   /// Rounds without ack progress before the first retransmission.  0 = auto
   /// (kReliableDefaultRto).  Callers that know the adversary's max_delay
   /// should set 4 + 2*max_delay: the fault-free ack round trip is 2 rounds,
@@ -106,31 +109,6 @@ struct ReliableConfig {
 };
 
 inline constexpr std::uint32_t kReliableDefaultRto = 4;
-
-/// The ARQ frame.  `seq == 0` is a pure (standalone) ack.
-class ReliableFrame final : public Message {
- public:
-  std::uint32_t seq = 0;
-  std::uint32_t ack = 0;
-  /// Epoch of the seq stream this frame belongs to (0 = the stream never
-  /// opened; data frames always carry the stream's stamped epoch).
-  std::uint32_t epoch = 0;
-  /// Epoch of the peer's stream that `ack` refers to: the sender applies a
-  /// cumulative ack only when this matches its current stream epoch.
-  std::uint32_t ack_epoch = 0;
-  FlatMsg inner_flat;   ///< inner flat payload (type == 0 when absent)
-  MessagePtr inner_msg; ///< inner legacy payload (null when absent)
-
-  std::uint32_t payload_bits() const {
-    if (inner_flat.type != 0) return inner_flat.bits;
-    if (inner_msg) return inner_msg->size_bits();
-    return 0;
-  }
-  std::uint32_t size_bits() const override {
-    return kReliableHeaderBits + payload_bits();
-  }
-  std::string debug_string() const override;
-};
 
 /// Wraps any Process with the reliable link layer.  One instance per node;
 /// per-port sender/receiver state is sized lazily from the node's degree.
@@ -176,13 +154,9 @@ class ReliableProcess final : public Process {
   /// idle inner process stays idle until a message arrives).
   enum class Wish : std::uint8_t { Running, Idle, Sleep, Halt };
 
-  struct Payload {
-    FlatMsg flat;
-    MessagePtr msg;
-  };
   struct Unacked {
     std::uint32_t seq = 0;
-    Payload payload;
+    FlatMsg msg;  ///< the inner message as sent
   };
   struct PortState {
     // --- sender side -----------------------------------------------------
@@ -203,17 +177,19 @@ class ReliableProcess final : public Process {
     /// newer epoch resets the cursor and the parked buffer; an older one is
     /// a stale retransmit, dropped and counted.
     std::uint32_t rx_epoch = 0;
-    std::map<std::uint32_t, Payload> parked;  ///< out-of-order buffer
+    std::map<std::uint32_t, FlatMsg> parked;  ///< out-of-order buffer
     bool ack_due = false;        ///< ack news with no data to ride on yet
   };
 
   void run_step(Context& ctx, std::span<const Envelope> inbox, bool wake);
   void ingest(Context& ctx, std::span<const Envelope> inbox,
               std::vector<Envelope>& inner_inbox);
-  void enqueue_data(PortId port, Payload payload, Round now);
+  void enqueue_data(PortId port, const FlatMsg& msg, Round now);
   void flush(Context& ctx);
+  /// Put one frame on the wire: `msg` billed with the header, which carries
+  /// `seq` (0 = pure ack) and the port's current epochs and cumulative ack.
   void send_frame(Context& ctx, PortId port, std::uint32_t seq,
-                  const Payload& payload);
+                  const FlatMsg& msg);
   /// Backed-off retransmit interval after `attempts` fruitless rounds:
   /// min(rto << attempts, backoff_cap) — a pure function of (attempts, cfg).
   Round interval(std::uint32_t attempts) const;

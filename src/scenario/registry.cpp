@@ -448,7 +448,6 @@ ProtocolRegistry build_protocols() {
     const auto base_prepare = p.prepare;
     p.prepare = [base_prepare](const Shape& s, RunOptions& opt) {
       ReliableConfig cfg = opt.reliable;
-      cfg.enabled = true;
       if (cfg.rto == 0) {
         // Auto rto: the fault-free ack round trip is 2 rounds and each leg
         // stretches by up to max_delay — never time out a frame whose ack is

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "election/channels.hpp"
@@ -14,12 +13,11 @@ namespace ule {
 
 namespace {
 
-// --- flat fast path (the default wire format) ------------------------------
+// --- wire format ----------------------------------------------------------
 // A cluster-state announcement needs center (one id word) plus depth, phase
 // and the sampled bit; depth and phase are hop / level counters that fit 32
 // bits each, so both bit-pack into the second payload word and the sampled
-// bit rides the flag byte.  Accounted wire sizes match the legacy messages
-// exactly, so both formats produce identical RunResult counters.
+// bit rides the flag byte.
 namespace spannerwire {
 inline constexpr std::uint16_t kState = 1;
 inline constexpr std::uint16_t kAddEdge = 2;
@@ -55,31 +53,6 @@ inline std::uint32_t phase_of(const FlatMsg& m) {
   return static_cast<std::uint32_t>(m.b >> 32);
 }
 }  // namespace spannerwire
-
-// --- legacy pointer path (SpannerConfig::legacy_wire) ----------------------
-
-/// Cluster-state flood: (center, sampled-bit for this phase, sender depth).
-struct StateMsg final : Message {
-  std::uint64_t center = 0;
-  bool sampled = false;
-  std::uint32_t depth = 0;
-  std::uint32_t phase = 0;
-
-  std::uint32_t size_bits() const override { return spannerwire::kStateBits; }
-  std::string debug_string() const override {
-    return "spanner-state(c" + std::to_string(center) +
-           (sampled ? ",S" : ",u") + ")";
-  }
-};
-
-/// "The edge we share is in the spanner."
-struct AddEdgeMsg final : Message {
-  std::uint32_t size_bits() const override {
-    return spannerwire::kAddEdgeBits;
-  }
-  std::string debug_string() const override { return "spanner-add-edge"; }
-};
-
 }  // namespace
 
 Round spanner_finish_round(std::uint32_t k) {
@@ -99,28 +72,13 @@ void BaswanaSenProcess::add_spanner_port(Context& /*ctx*/, PortId p,
   if (in_spanner_[p]) return;
   in_spanner_[p] = true;
   spanner_ports_.push_back(p);
-  if (notify) {
-    if (cfg_.legacy_wire) {
-      outbox_.queue(p, std::make_shared<AddEdgeMsg>());
-    } else {
-      outbox_.queue(p, spannerwire::add_edge());
-    }
-  }
+  if (notify) outbox_.queue(p, spannerwire::add_edge());
 }
 
 void BaswanaSenProcess::queue_state_broadcast(Context& ctx,
                                               std::uint32_t phase) {
-  if (cfg_.legacy_wire) {
-    auto m = std::make_shared<StateMsg>();
-    m->center = center_;
-    m->sampled = sampled_;
-    m->depth = depth_;
-    m->phase = phase;
-    outbox_.queue_broadcast(ctx, m);
-  } else {
-    outbox_.queue_broadcast(ctx,
-                            spannerwire::state(center_, sampled_, depth_, phase));
-  }
+  outbox_.queue_broadcast(ctx,
+                          spannerwire::state(center_, sampled_, depth_, phase));
 }
 
 void BaswanaSenProcess::begin_window(Context& ctx, std::uint32_t phase) {
@@ -189,25 +147,15 @@ void BaswanaSenProcess::spanner_round(Context& ctx,
   if (phase_ <= cfg_.k && r == window_start(phase_)) begin_window(ctx, phase_);
 
   for (const auto& env : inbox) {
-    if (env.is_flat()) {
-      if (env.flat.channel != channel::kSpanner) continue;  // e.g. election
-      if (env.flat.type == spannerwire::kAddEdge) {
-        add_spanner_port(ctx, env.port, /*notify=*/false);
-      } else if (env.flat.type == spannerwire::kState) {
-        handle_state(ctx, env.port, env.flat.a,
-                     (env.flat.flags & spannerwire::kSampledFlag) != 0,
-                     spannerwire::depth_of(env.flat),
-                     spannerwire::phase_of(env.flat));
-      }
-      continue;
-    }
-    if (dynamic_cast<const AddEdgeMsg*>(env.msg.get()) != nullptr) {
+    if (env.flat.channel != channel::kSpanner) continue;  // e.g. election
+    if (env.flat.type == spannerwire::kAddEdge) {
       add_spanner_port(ctx, env.port, /*notify=*/false);
-      continue;
+    } else if (env.flat.type == spannerwire::kState) {
+      handle_state(ctx, env.port, env.flat.a,
+                   (env.flat.flags & spannerwire::kSampledFlag) != 0,
+                   spannerwire::depth_of(env.flat),
+                   spannerwire::phase_of(env.flat));
     }
-    const auto* sm = dynamic_cast<const StateMsg*>(env.msg.get());
-    if (!sm) continue;
-    handle_state(ctx, env.port, sm->center, sm->sampled, sm->depth, sm->phase);
   }
 
   if (phase_ <= cfg_.k && r == window_start(phase_) + phase_) {

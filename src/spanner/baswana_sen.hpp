@@ -19,11 +19,8 @@
 // verified empirically by the test suite.  Runs in O(k^2) rounds with
 // O(k m) messages, matching [6] as cited by the paper.
 //
-// Wire format: the inline FlatMsg fast path by default — the state
-// announcement bit-packs depth and phase into one payload word and carries
-// the sampled bit in the flag byte.  SpannerConfig::legacy_wire selects the
-// original MessagePtr representation; both produce identical runs (pinned
-// by the wire-equality regression test).
+// Wire format: the state announcement bit-packs depth and phase into one
+// FlatMsg payload word and carries the sampled bit in the flag byte.
 
 #pragma once
 
@@ -38,11 +35,6 @@ namespace ule {
 
 struct SpannerConfig {
   std::uint32_t k = 2;  ///< spanner parameter (stretch 2k-1)
-  /// Use the legacy MessagePtr wire format instead of the inline FlatMsg
-  /// fast path.  Both produce bit-for-bit identical runs (same message and
-  /// bit counts, same spanner) — pinned by the wire-equality regression
-  /// test; the flat path just moves zero heap blocks per send.
-  bool legacy_wire = false;
 };
 
 /// The round by which every node knows its final spanner ports.

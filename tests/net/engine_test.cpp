@@ -9,16 +9,11 @@
 namespace ule {
 namespace {
 
-struct TestMsg final : Message {
-  std::uint64_t payload = 0;
-  std::uint32_t bits = 64;
-  std::uint32_t size_bits() const override { return bits; }
-};
-
-std::shared_ptr<TestMsg> tm(std::uint64_t payload, std::uint32_t bits = 64) {
-  auto m = std::make_shared<TestMsg>();
-  m->payload = payload;
-  m->bits = bits;
+FlatMsg tm(std::uint64_t payload, std::uint32_t bits = 64) {
+  FlatMsg m;
+  m.type = 1;
+  m.bits = bits;
+  m.a = payload;
   return m;
 }
 
@@ -34,7 +29,7 @@ class PingProcess : public Process {
     for (const auto& env : inbox) {
       received_round = ctx.round();
       received_port = env.port;
-      received_value = dynamic_cast<const TestMsg&>(*env.msg).payload;
+      received_value = env.flat.a;
     }
     ctx.idle();
   }

@@ -198,25 +198,5 @@ TEST(Metrics, SnapshotCountersMatchTheRunResult) {
   EXPECT_TRUE(validate_metrics_json(doc, &err)) << err;
 }
 
-TEST(Metrics, DisabledWrapperExportsNoArqCounters) {
-  // An enabled=false ReliableProcess must be invisible in the snapshot too:
-  // the zero-overhead contract extends to telemetry content.
-  const Graph g = make_complete(8);
-  RunOptions opt;
-  opt.seed = 5;
-  opt.congest = CongestMode::Off;
-  opt.metrics.enabled = true;
-  ReliableConfig off;
-  off.enabled = false;
-  const ElectionReport wrapped =
-      run_election(g, make_reliable(make_flood_max(), off), opt);
-  const ElectionReport plain = run_election(g, make_flood_max(), opt);
-  ASSERT_TRUE(wrapped.run.metrics.has_value());
-  ASSERT_TRUE(plain.run.metrics.has_value());
-  EXPECT_FALSE(counter_value(*wrapped.run.metrics, "arq.retransmissions")
-                   .has_value());
-  EXPECT_EQ(*wrapped.run.metrics, *plain.run.metrics);
-}
-
 }  // namespace
 }  // namespace ule

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "net/knowledge.hpp"
@@ -13,14 +12,13 @@
 namespace ule {
 namespace {
 
-struct TagMsg final : Message {
-  int tag = 0;
-  explicit TagMsg(int t) : tag(t) {}
-  std::uint32_t size_bits() const override { return wire::kTypeTag; }
-  std::string debug_string() const override {
-    return "tag(" + std::to_string(tag) + ")";
-  }
-};
+FlatMsg tag(int t) {
+  FlatMsg m;
+  m.type = 1;
+  m.bits = wire::kTypeTag;
+  m.a = static_cast<std::uint64_t>(t);
+  return m;
+}
 
 /// Minimal Context: records sends, stubs everything else.
 class RecorderCtx final : public Context {
@@ -28,6 +26,7 @@ class RecorderCtx final : public Context {
   explicit RecorderCtx(std::size_t degree) : degree_(degree) {}
 
   std::vector<std::pair<PortId, int>> sent;
+  std::vector<LinkHeader> links;
 
   NodeId slot() const override { return 0; }
   std::size_t degree() const override { return degree_; }
@@ -36,12 +35,9 @@ class RecorderCtx final : public Context {
   Round round() const override { return 0; }
   Rng& rng() override { return rng_; }
   const Knowledge& knowledge() const override { return knowledge_; }
-  void send(PortId port, MessagePtr msg) override {
-    const auto* tm = dynamic_cast<const TagMsg*>(msg.get());
-    sent.emplace_back(port, tm ? tm->tag : -1);
-  }
-  void send(PortId port, const FlatMsg& msg) override {
+  void send(PortId port, const FlatMsg& msg, const LinkHeader& link) override {
     sent.emplace_back(port, static_cast<int>(msg.a));
+    links.push_back(link);
   }
   void set_status(Status) override {}
   Status status() const override { return Status::Undecided; }
@@ -66,9 +62,9 @@ TEST(PortOutbox, EmptyFlushSendsNothing) {
 TEST(PortOutbox, OneMessagePerPortPerFlush) {
   PortOutbox ob;
   RecorderCtx ctx(2);
-  ob.queue(0, std::make_shared<TagMsg>(1));
-  ob.queue(0, std::make_shared<TagMsg>(2));
-  ob.queue(1, std::make_shared<TagMsg>(3));
+  ob.queue(0, tag(1));
+  ob.queue(0, tag(2));
+  ob.queue(1, tag(3));
 
   EXPECT_EQ(ob.backlog(), 3u);
   EXPECT_TRUE(ob.flush(ctx));  // one left on port 0
@@ -85,7 +81,7 @@ TEST(PortOutbox, OneMessagePerPortPerFlush) {
 TEST(PortOutbox, FifoPerPortAcrossManyFlushes) {
   PortOutbox ob;
   RecorderCtx ctx(1);
-  for (int i = 0; i < 10; ++i) ob.queue(0, std::make_shared<TagMsg>(i));
+  for (int i = 0; i < 10; ++i) ob.queue(0, tag(i));
   int flushes = 0;
   while (ob.flush(ctx)) ++flushes;
   EXPECT_EQ(flushes, 9);  // 10th flush returns false (queue emptied)
@@ -96,7 +92,7 @@ TEST(PortOutbox, FifoPerPortAcrossManyFlushes) {
 TEST(PortOutbox, QueueBroadcastHitsEveryPort) {
   PortOutbox ob;
   RecorderCtx ctx(4);
-  ob.queue_broadcast(ctx, std::make_shared<TagMsg>(9));
+  ob.queue_broadcast(ctx, tag(9));
   EXPECT_EQ(ob.backlog(), 4u);
   EXPECT_FALSE(ob.flush(ctx));
   ASSERT_EQ(ctx.sent.size(), 4u);
@@ -109,10 +105,10 @@ TEST(PortOutbox, QueueBroadcastHitsEveryPort) {
 TEST(PortOutbox, InterleavesPortsIndependently) {
   PortOutbox ob;
   RecorderCtx ctx(2);
-  ob.queue(1, std::make_shared<TagMsg>(10));
-  ob.queue(1, std::make_shared<TagMsg>(11));
+  ob.queue(1, tag(10));
+  ob.queue(1, tag(11));
   EXPECT_TRUE(ob.flush(ctx));  // port1: 10
-  ob.queue(0, std::make_shared<TagMsg>(20));
+  ob.queue(0, tag(20));
   EXPECT_FALSE(ob.flush(ctx));  // port0: 20, port1: 11 — both drained
   ASSERT_EQ(ctx.sent.size(), 3u);
   EXPECT_EQ(ctx.sent[0], (std::pair<PortId, int>{1, 10}));
@@ -120,13 +116,26 @@ TEST(PortOutbox, InterleavesPortsIndependently) {
   EXPECT_EQ(ctx.sent[2], (std::pair<PortId, int>{1, 11}));
 }
 
+TEST(PortOutbox, FlushForwardsTheLinkHeader) {
+  PortOutbox ob;
+  RecorderCtx ctx(1);
+  ob.queue(0, tag(1), LinkHeader{5, 6, 7, 8});
+  ob.queue(0, tag(2));
+  ob.flush(ctx);
+  ob.flush(ctx);
+  ASSERT_EQ(ctx.links.size(), 2u);
+  EXPECT_EQ(ctx.links[0].seq, 5u);
+  EXPECT_EQ(ctx.links[0].ack_epoch, 8u);
+  EXPECT_EQ(ctx.links[1].seq, 0u);  // plain messages travel with a zero header
+}
+
 TEST(PortOutbox, BacklogCountsExactly) {
   PortOutbox ob;
   RecorderCtx ctx(3);
   EXPECT_EQ(ob.backlog(), 0u);
-  ob.queue(2, std::make_shared<TagMsg>(1));
-  ob.queue(2, std::make_shared<TagMsg>(2));
-  ob.queue(0, std::make_shared<TagMsg>(3));
+  ob.queue(2, tag(1));
+  ob.queue(2, tag(2));
+  ob.queue(0, tag(3));
   EXPECT_EQ(ob.backlog(), 3u);
   ob.flush(ctx);
   EXPECT_EQ(ob.backlog(), 1u);

@@ -17,11 +17,12 @@
 namespace ule {
 namespace {
 
-struct PingMsg final : Message {
-  std::uint32_t size_bits() const override { return 64; }
-};
-
-MessagePtr ping() { return std::make_shared<PingMsg>(); }
+FlatMsg ping() {
+  FlatMsg m;
+  m.type = 1;
+  m.bits = 64;
+  return m;
+}
 
 /// Records every round it runs; configurable action per run.
 class ProbeProcess : public Process {
@@ -191,9 +192,9 @@ TEST(Scheduler, RunningNodesAreScheduledEveryRound) {
   for (Round r = 0; r < 10; ++r) EXPECT_EQ(p->ran_at[r], r);
 }
 
-TEST(Scheduler, MixedFlatAndLegacyMessagesShareOneInbox) {
-  // A flat message and a legacy message sent to the same node in the same
-  // round arrive in one inbox, in send order, each on the right path.
+TEST(Scheduler, TwoChannelsShareOneInboxInSendOrder) {
+  // Two messages on different channels sent to the same node in the same
+  // round arrive in one inbox, in send order, each with its own payload.
   class Dual final : public ProbeProcess {
    public:
     void act(Context& ctx, std::span<const Envelope>) override {
@@ -204,26 +205,26 @@ TEST(Scheduler, MixedFlatAndLegacyMessagesShareOneInbox) {
         f.bits = 64;
         f.a = 1234;
         ctx.send(0, f);
-        ctx.send(0, ping());
+        FlatMsg g = ping();
+        g.channel = 43;
+        ctx.send(0, g);
       }
       ctx.idle();
     }
     void on_round(Context& ctx, std::span<const Envelope> inbox) override {
       for (const auto& env : inbox) {
-        if (env.is_flat()) {
-          saw_flat = (env.flat.a == 1234 && env.flat.channel == 42);
-          EXPECT_EQ(env.msg, nullptr);
+        if (env.flat.channel == 42) {
+          saw_first = (env.flat.type == 7 && env.flat.a == 1234);
         } else {
-          saw_legacy = dynamic_cast<const PingMsg*>(env.msg.get()) != nullptr;
-          EXPECT_FALSE(env.is_flat());
+          saw_second = (env.flat.channel == 43 && env.flat.type == 1);
         }
-        order.push_back(env.is_flat() ? 'f' : 'l');
+        order.push_back(env.flat.channel);
       }
       ctx.idle();
     }
-    bool saw_flat = false;
-    bool saw_legacy = false;
-    std::vector<char> order;
+    bool saw_first = false;
+    bool saw_second = false;
+    std::vector<std::uint8_t> order;
   };
   const Graph g = Graph::from_edges(2, {{0, 1}});
   EngineConfig cfg;
@@ -236,11 +237,11 @@ TEST(Scheduler, MixedFlatAndLegacyMessagesShareOneInbox) {
   EXPECT_EQ(res.bits, 128u);
   EXPECT_EQ(res.congest_violations, 1u);
   const auto* p = dynamic_cast<const Dual*>(eng.process(1));
-  EXPECT_TRUE(p->saw_flat);
-  EXPECT_TRUE(p->saw_legacy);
+  EXPECT_TRUE(p->saw_first);
+  EXPECT_TRUE(p->saw_second);
   ASSERT_EQ(p->order.size(), 2u);
-  EXPECT_EQ(p->order[0], 'f');  // send order preserved
-  EXPECT_EQ(p->order[1], 'l');
+  EXPECT_EQ(p->order[0], 42);  // send order preserved
+  EXPECT_EQ(p->order[1], 43);
 }
 
 }  // namespace

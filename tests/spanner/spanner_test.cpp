@@ -116,41 +116,6 @@ TEST(Spanner, KOneKeepsEverything) {
   EXPECT_EQ(edges, g.m());  // a 1-spanner is the graph itself
 }
 
-TEST(Spanner, FlatAndLegacyWireProduceIdenticalRuns) {
-  // The FlatMsg port (depth/phase bit-packed into one payload word, sampled
-  // bit in the flag byte) must be a pure representation change: every
-  // RunResult counter and the selected spanner must match the MessagePtr
-  // path bit-for-bit.
-  Rng rng(9);
-  const Graph g = make_random_connected(70, 420, rng);
-  for (const std::uint32_t k : {2u, 3u}) {
-    RunResult results[2];
-    std::vector<std::vector<PortId>> ports[2];
-    for (const bool legacy : {false, true}) {
-      EngineConfig cfg;
-      cfg.seed = 21 + k;
-      SyncEngine eng(g, cfg);
-      Rng id_rng(5);
-      eng.set_uids(assign_ids(g.n(), IdScheme::RandomFromZ, id_rng));
-      eng.set_knowledge(Knowledge::of_n(g.n()));
-      eng.init_processes(make_baswana_sen(SpannerConfig{k, legacy}));
-      results[legacy ? 1 : 0] = eng.run();
-      for (NodeId s = 0; s < g.n(); ++s) {
-        const auto* p = dynamic_cast<const BaswanaSenProcess*>(eng.process(s));
-        ports[legacy ? 1 : 0].push_back(p->spanner_ports());
-      }
-    }
-    EXPECT_EQ(results[0].rounds, results[1].rounds) << "k=" << k;
-    EXPECT_EQ(results[0].executed_rounds, results[1].executed_rounds) << "k=" << k;
-    EXPECT_EQ(results[0].node_steps, results[1].node_steps) << "k=" << k;
-    EXPECT_EQ(results[0].messages, results[1].messages) << "k=" << k;
-    EXPECT_EQ(results[0].bits, results[1].bits) << "k=" << k;
-    EXPECT_EQ(results[0].congest_violations, results[1].congest_violations)
-        << "k=" << k;
-    EXPECT_EQ(ports[0], ports[1]) << "k=" << k;
-  }
-}
-
 TEST(Spanner, FinishRoundFormula) {
   EXPECT_EQ(spanner_finish_round(1), 3u);
   EXPECT_EQ(spanner_finish_round(2), 3u + 4u);
