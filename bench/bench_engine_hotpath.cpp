@@ -50,23 +50,15 @@
 //                    parallel pipeline targets.  Swept at threads ∈
 //                    {1, 2, 4, hw} (deduped); counters must be identical
 //                    across the sweep (checked, not just reported).
-//   adversary_off_overhead  Flood-max on K_n twice: plain vs an INERT
-//                    adversary config (seed set, every knob zero).  All
-//                    counters must be identical (hard failure otherwise);
-//                    the wall-clock ratio is recorded, not gated.
-//   churn_off_overhead  Flood-max on K_n twice: plain vs a crash schedule
-//                    made only of EMPTY churn intervals (recover == crash,
-//                    the documented no-op).  The engine must fold the
-//                    schedule away at build and take the fault-free hot
-//                    path: counter identity (including crashed, recoveries
-//                    and adv_crash_drops staying zero) is a hard failure,
-//                    the wall ratio is recorded, not gated.
-//   metrics_off_overhead  Flood-max on K_n twice: plain vs the SAME run with
-//                    engine telemetry enabled.  Metrics are pure observation,
-//                    so every RunResult counter must be identical (hard
-//                    failure — a metrics build that perturbs a run is a
-//                    correctness bug, not a perf note); the wall ratio of the
-//                    metrics-ON run is recorded, not gated.
+//   *_off_overhead   One table-driven harness, one row per layer:
+//                    flood-max on K_n plain vs with the layer armed in a
+//                    shape that must change nothing — adversary_off_overhead
+//                    (inert config: seed set, every knob zero),
+//                    churn_off_overhead (only empty recover == crash
+//                    intervals) and metrics_off_overhead (telemetry on; the
+//                    snapshot must be present).  Every RunResult counter
+//                    must match and the election must succeed (hard
+//                    failure); the wall ratio is recorded, not gated.
 //   ring_quiescent   One spinning node on an otherwise unwoken ring, 1000
 //                    rounds, zero messages: pure per-round scheduler cost.
 //                    Wall time must be independent of n (the seed engine's
@@ -150,6 +142,17 @@ void report_row(bench::JsonReport& report, const char* workload,
               static_cast<unsigned long long>(mr.run.executed_rounds),
               static_cast<unsigned long long>(mr.run.messages),
               rate(mr.run.node_steps));
+}
+
+/// Empty when `got` has every RunResult counter of `base` (the
+/// for_each_counter table) and elected a unique leader; otherwise the names
+/// of what diverged, each preceded by a space.
+std::string divergence(const Measured& base, const Measured& got) {
+  std::string out;
+  for (const CounterDiff& d : diff_counters(base.run, got.run))
+    out += std::string(" ") + d.name;
+  if (!got.unique_leader) out += " unique_leader";
+  return out;
 }
 
 Measured run_election_timed(const Graph& g, const ProcessFactory& factory,
@@ -326,16 +329,11 @@ int main(int argc, char** argv) {
         // Every RunResult counter must be identical across the ladder (and
         // the election must actually succeed) — a scheduling bug that
         // preserves message totals must still fail the sweep.
-        if (mr.run.rounds != base.run.rounds ||
-            mr.run.executed_rounds != base.run.executed_rounds ||
-            mr.run.node_steps != base.run.node_steps ||
-            mr.run.messages != base.run.messages ||
-            mr.run.bits != base.run.bits ||
-            mr.run.elected != base.run.elected || !mr.unique_leader) {
+        if (const std::string bad = divergence(base, mr); !bad.empty()) {
           std::fprintf(stderr,
                        "DETERMINISM BREAK: clique_flood_max n=%zu threads=%u "
-                       "diverges from threads=%u\n",
-                       n, t, ladder.front());
+                       "diverges from threads=%u:%s\n",
+                       n, t, ladder.front(), bad.c_str());
           return 1;
         }
         report_row(report, "clique_flood_max", "clique", n, seed, mr, t);
@@ -343,13 +341,28 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- adversary_off_overhead: the zero-overhead contract, pinned ---
-  // An INERT adversary config (seed set, every knob zero — active() is
-  // false) must compile down to the exact fault-free hot path.  Counters are
-  // compared hard (exit 1 on any divergence); the wall-clock ratio is
-  // recorded for trend-watching but not gated — wall noise on CI runners
-  // would make a gate flaky, and the counter identity is the real contract.
-  if (enabled("adversary_off_overhead")) {
+  // --- *_off_overhead: an off or inert layer is a no-op, pinned ---
+  // A layer that perturbs a run it should leave alone is a correctness bug,
+  // so a divergence exits 1.  The wall ratio is not gated: CI wall noise
+  // would make that flaky, and counter identity is the contract.
+  struct OffPathRow {
+    const char* workload;
+    const char* layer;  ///< names the armed layer in the failure message
+    void (*arm)(RunOptions&);
+  };
+  const OffPathRow off_path_rows[] = {
+      // active() is false: the exact fault-free hot path.
+      {"adversary_off_overhead", "inert adversary",
+       [](RunOptions& o) { o.adversary.seed = 0xFEED; }},
+      // Folded away at engine build: no churn scan, bitmap or factory.
+      {"churn_off_overhead", "all-no-op churn schedule",
+       [](RunOptions& o) { o.adversary.crashes = {{1, 3, 3}, {5, 7, 7}}; }},
+      // Gauges sample at a sequential point; counters fold lane totals.
+      {"metrics_off_overhead", "engine metrics",
+       [](RunOptions& o) { o.metrics.enabled = true; }},
+  };
+  for (const OffPathRow& row : off_path_rows) {
+    if (!enabled(row.workload)) continue;
     for (std::size_t n :
          capped(quick ? std::initializer_list<std::size_t>{48}
                       : std::initializer_list<std::size_t>{512})) {
@@ -360,147 +373,34 @@ int main(int argc, char** argv) {
       opt.threads = threads;
       opt.parallel_cutoff = parallel_cutoff;
       const Measured plain = run_election_timed(g, make_flood_max(), opt);
-      opt.adversary = AdversaryConfig{};
-      opt.adversary.seed = 0xFEED;  // inert: seed set, no knobs
-      const Measured inert = run_election_timed(g, make_flood_max(), opt);
-      if (inert.run.rounds != plain.run.rounds ||
-          inert.run.executed_rounds != plain.run.executed_rounds ||
-          inert.run.node_steps != plain.run.node_steps ||
-          inert.run.messages != plain.run.messages ||
-          inert.run.bits != plain.run.bits ||
-          inert.run.elected != plain.run.elected ||
-          inert.run.last_progress != plain.run.last_progress ||
-          inert.run.crashed != 0 || !inert.unique_leader) {
+      row.arm(opt);
+      const Measured armed = run_election_timed(g, make_flood_max(), opt);
+      std::string bad = divergence(plain, armed);
+      if (plain.run.metrics ||
+          armed.run.metrics.has_value() != opt.metrics.enabled)
+        bad += " metrics";
+      if (!bad.empty()) {
         std::fprintf(stderr,
-                     "ZERO-OVERHEAD BREAK: inert adversary diverges from the "
-                     "plain run on clique_flood_max n=%zu\n",
-                     n);
+                     "ZERO-OVERHEAD BREAK: %s diverges from the plain run on "
+                     "clique_flood_max n=%zu:%s\n",
+                     row.layer, n, bad.c_str());
         return 1;
       }
       const double ratio =
-          plain.wall_ms > 0 ? inert.wall_ms / plain.wall_ms : 1.0;
+          plain.wall_ms > 0 ? armed.wall_ms / plain.wall_ms : 1.0;
       report.add_row()
-          .set("workload", "adversary_off_overhead")
+          .set("workload", row.workload)
           .set("family", "clique")
           .set("n", static_cast<std::uint64_t>(n))
           .set("seed", seed)
           .set("threads", static_cast<std::uint64_t>(threads))
-          .set("wall_ms", inert.wall_ms)
+          .set("wall_ms", armed.wall_ms)
           .set("plain_wall_ms", plain.wall_ms)
           .set("wall_ratio", ratio)
           .set("counters_identical", true);
       std::printf("%-18s %-9s n=%-8zu t=%-2u %10.2f ms  vs plain %.2f ms  "
                   "ratio %.3f (counters identical)\n",
-                  "adv_off_overhead", "clique", n, threads, inert.wall_ms,
-                  plain.wall_ms, ratio);
-    }
-  }
-
-  // --- churn_off_overhead: the folded-schedule contract, pinned ---
-  // A crash schedule made ENTIRELY of empty intervals (recover == crash, the
-  // documented no-op shape) must fold away at engine build and take the
-  // exact fault-free hot path — no churn-event scan, no crash bitmap, no
-  // factory retention.  Same discipline: counters compared hard (including
-  // the churn surface itself: crashed / recoveries / adv_crash_drops must
-  // all be zero), wall ratio recorded but not gated.
-  if (enabled("churn_off_overhead")) {
-    for (std::size_t n :
-         capped(quick ? std::initializer_list<std::size_t>{48}
-                      : std::initializer_list<std::size_t>{512})) {
-      const Graph g = make_complete(n);
-      RunOptions opt;
-      opt.seed = seed;
-      opt.congest = CongestMode::Off;
-      opt.threads = threads;
-      opt.parallel_cutoff = parallel_cutoff;
-      const Measured plain = run_election_timed(g, make_flood_max(), opt);
-      opt.adversary = AdversaryConfig{};
-      opt.adversary.crashes = {{1, 3, 3}, {5, 7, 7}};  // all no-op intervals
-      const Measured inert = run_election_timed(g, make_flood_max(), opt);
-      if (inert.run.rounds != plain.run.rounds ||
-          inert.run.executed_rounds != plain.run.executed_rounds ||
-          inert.run.node_steps != plain.run.node_steps ||
-          inert.run.messages != plain.run.messages ||
-          inert.run.bits != plain.run.bits ||
-          inert.run.elected != plain.run.elected ||
-          inert.run.last_progress != plain.run.last_progress ||
-          inert.run.crashed != 0 || inert.run.recoveries != 0 ||
-          inert.run.adv_crash_drops != 0 || !inert.unique_leader) {
-        std::fprintf(stderr,
-                     "ZERO-OVERHEAD BREAK: all-no-op churn schedule diverges "
-                     "from the plain run on clique_flood_max n=%zu\n",
-                     n);
-        return 1;
-      }
-      const double ratio =
-          plain.wall_ms > 0 ? inert.wall_ms / plain.wall_ms : 1.0;
-      report.add_row()
-          .set("workload", "churn_off_overhead")
-          .set("family", "clique")
-          .set("n", static_cast<std::uint64_t>(n))
-          .set("seed", seed)
-          .set("threads", static_cast<std::uint64_t>(threads))
-          .set("wall_ms", inert.wall_ms)
-          .set("plain_wall_ms", plain.wall_ms)
-          .set("wall_ratio", ratio)
-          .set("counters_identical", true);
-      std::printf("%-18s %-9s n=%-8zu t=%-2u %10.2f ms  vs plain %.2f ms  "
-                  "ratio %.3f (counters identical)\n",
-                  "churn_off_overhead", "clique", n, threads, inert.wall_ms,
-                  plain.wall_ms, ratio);
-    }
-  }
-
-  // --- metrics_off_overhead: telemetry is pure observation, pinned ---
-  // Enabling the metrics registry must not change a single RunResult counter:
-  // gauges are sampled at a sequential point of the round pipeline and
-  // counters are folded from the same lane totals the engine already bills.
-  // Counters compared hard (exit 1 on divergence), wall ratio of the
-  // metrics-ON run recorded but not gated — the same discipline as the
-  // adversary and churn off-switch rows above.
-  if (enabled("metrics_off_overhead")) {
-    for (std::size_t n :
-         capped(quick ? std::initializer_list<std::size_t>{48}
-                      : std::initializer_list<std::size_t>{512})) {
-      const Graph g = make_complete(n);
-      RunOptions opt;
-      opt.seed = seed;
-      opt.congest = CongestMode::Off;
-      opt.threads = threads;
-      opt.parallel_cutoff = parallel_cutoff;
-      const Measured plain = run_election_timed(g, make_flood_max(), opt);
-      opt.metrics.enabled = true;
-      const Measured metered = run_election_timed(g, make_flood_max(), opt);
-      if (metered.run.rounds != plain.run.rounds ||
-          metered.run.executed_rounds != plain.run.executed_rounds ||
-          metered.run.node_steps != plain.run.node_steps ||
-          metered.run.messages != plain.run.messages ||
-          metered.run.bits != plain.run.bits ||
-          metered.run.elected != plain.run.elected ||
-          metered.run.last_progress != plain.run.last_progress ||
-          metered.run.crashed != 0 || !metered.unique_leader ||
-          !metered.run.metrics || plain.run.metrics) {
-        std::fprintf(stderr,
-                     "ZERO-OVERHEAD BREAK: enabling engine metrics perturbs "
-                     "the run on clique_flood_max n=%zu\n",
-                     n);
-        return 1;
-      }
-      const double ratio =
-          plain.wall_ms > 0 ? metered.wall_ms / plain.wall_ms : 1.0;
-      report.add_row()
-          .set("workload", "metrics_off_overhead")
-          .set("family", "clique")
-          .set("n", static_cast<std::uint64_t>(n))
-          .set("seed", seed)
-          .set("threads", static_cast<std::uint64_t>(threads))
-          .set("wall_ms", metered.wall_ms)
-          .set("plain_wall_ms", plain.wall_ms)
-          .set("wall_ratio", ratio)
-          .set("counters_identical", true);
-      std::printf("%-18s %-9s n=%-8zu t=%-2u %10.2f ms  vs plain %.2f ms  "
-                  "ratio %.3f (counters identical)\n",
-                  "mx_off_overhead", "clique", n, threads, metered.wall_ms,
+                  row.workload, "clique", n, threads, armed.wall_ms,
                   plain.wall_ms, ratio);
     }
   }

@@ -778,6 +778,21 @@ RunResult SyncEngine::run() {
   return result_;
 }
 
+std::vector<CounterDiff> diff_counters(const RunResult& base,
+                                       const RunResult& got) {
+  std::vector<std::uint64_t> values;
+  for_each_counter(base, [&](const char*, std::uint64_t v) {
+    values.push_back(v);
+  });
+  std::vector<CounterDiff> out;
+  std::size_t i = 0;
+  for_each_counter(got, [&](const char* name, std::uint64_t v) {
+    if (v != values[i]) out.push_back({name, values[i], v});
+    ++i;
+  });
+  return out;
+}
+
 std::string describe_nontermination(const RunResult& r) {
   if (r.completed && r.undecided == 0) return "";
   // Two distinct failure shapes: a run that never quiesced (livelock — hit

@@ -69,6 +69,8 @@
 
 #pragma once
 
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -77,6 +79,7 @@
 #include <queue>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -204,6 +207,70 @@ struct RunResult {
   /// Telemetry snapshot, engaged only when EngineConfig::metrics.enabled.
   std::optional<MetricsSnapshot> metrics;
 };
+
+/// The run-counter table: calls f("name", field) for every scalar RunResult
+/// counter, in struct order.  `field` is a reference into `r` (const when R
+/// is); `completed` is a bool and reads as 0/1 once widened.  The JobResult
+/// wire grammar (serve::result_counters), the threads>1 determinism
+/// cross-check and every "same counters" check read this one list.
+template <class R, class F>
+  requires std::same_as<std::remove_const_t<R>, RunResult>
+void for_each_counter(R& r, F&& f) {
+  f("rounds", r.rounds);
+  f("executed_rounds", r.executed_rounds);
+  f("node_steps", r.node_steps);
+  f("messages", r.messages);
+  f("bits", r.bits);
+  f("completed", r.completed);
+  f("congest_violations", r.congest_violations);
+  f("elected", r.elected);
+  f("non_elected", r.non_elected);
+  f("undecided", r.undecided);
+  f("last_status_change", r.last_status_change);
+  f("last_progress", r.last_progress);
+  f("crashed", r.crashed);
+  f("recoveries", r.recoveries);
+  f("adv_crash_drops", r.adv_crash_drops);
+  f("adv_drops", r.adv_drops);
+  f("adv_dups", r.adv_dups);
+  f("adv_delays", r.adv_delays);
+  f("dead_links", r.dead_links);
+  f("dead_link_drops", r.dead_link_drops);
+  f("healed_links", r.healed_links);
+}
+
+namespace detail {
+/// Converts to any member type: brace-initializing T from N of these
+/// compiles iff T has at least N aggregate members.
+struct AnyMember {
+  template <class T>
+  operator T() const;
+};
+template <class T, class... A>
+consteval std::size_t aggregate_members() {
+  if constexpr (requires { T{A{}..., AnyMember{}}; })
+    return aggregate_members<T, A..., AnyMember>();
+  else
+    return sizeof...(A);
+}
+}  // namespace detail
+
+// 21 counters in the table, plus dead_link_nodes, undecided_nodes, metrics.
+static_assert(detail::aggregate_members<RunResult>() == 21 + 3,
+              "RunResult changed shape: add the new field to for_each_counter "
+              "(or, if it is not a scalar counter, to this count)");
+
+/// One counter on which two runs disagree.
+struct CounterDiff {
+  const char* name;
+  std::uint64_t base;
+  std::uint64_t got;
+};
+
+/// The for_each_counter counters on which `got` differs from `base`, in
+/// table order; empty when the two runs have the same counters.
+std::vector<CounterDiff> diff_counters(const RunResult& base,
+                                       const RunResult& got);
 
 /// One-line diagnostic for a run that hit max_rounds OR quiesced with
 /// undecided nodes (empty if it completed fully decided).

@@ -333,44 +333,19 @@ ScenarioOutcome run_scenario(const ProtocolRegistry& protocols,
     popt.parallel_cutoff = 1;  // force every round through the sharded path
     const ElectionReport par = run_election(g, factory, popt);
     const unsigned t = s.threads;
-    if (par.run.rounds != rep.run.rounds)
-      violate(counter_diff("rounds", rep.run.rounds, par.run.rounds, t));
-    if (par.run.executed_rounds != rep.run.executed_rounds)
-      violate(counter_diff("executed_rounds", rep.run.executed_rounds,
-                           par.run.executed_rounds, t));
-    if (par.run.node_steps != rep.run.node_steps)
-      violate(counter_diff("node_steps", rep.run.node_steps,
-                           par.run.node_steps, t));
-    if (par.run.messages != rep.run.messages)
-      violate(counter_diff("messages", rep.run.messages, par.run.messages, t));
-    if (par.run.bits != rep.run.bits)
-      violate(counter_diff("bits", rep.run.bits, par.run.bits, t));
-    if (par.run.congest_violations != rep.run.congest_violations)
-      violate(counter_diff("congest_violations", rep.run.congest_violations,
-                           par.run.congest_violations, t));
-    if (par.run.last_status_change != rep.run.last_status_change)
-      violate(counter_diff("last_status_change", rep.run.last_status_change,
-                           par.run.last_status_change, t));
-    if (par.run.last_progress != rep.run.last_progress)
-      violate(counter_diff("last_progress", rep.run.last_progress,
-                           par.run.last_progress, t));
-    if (par.run.crashed != rep.run.crashed)
-      violate(counter_diff("crashed", rep.run.crashed, par.run.crashed, t));
-    if (par.run.recoveries != rep.run.recoveries)
-      violate(counter_diff("recoveries", rep.run.recoveries,
-                           par.run.recoveries, t));
-    if (par.run.adv_crash_drops != rep.run.adv_crash_drops)
-      violate(counter_diff("adv_crash_drops", rep.run.adv_crash_drops,
-                           par.run.adv_crash_drops, t));
-    if (par.statuses != rep.statuses)
-      violate("determinism: per-node statuses differ at threads=" +
+    for (const CounterDiff& d : diff_counters(rep.run, par.run))
+      violate(counter_diff(d.name, d.base, d.got, t));
+    const auto differ = [&](const char* what) {
+      violate(std::string("determinism: ") + what + " differ at threads=" +
               std::to_string(t));
-    if (par.sent_by_node != rep.sent_by_node)
-      violate("determinism: per-node send counts differ at threads=" +
-              std::to_string(t));
-    if (par.run.metrics != rep.run.metrics)
-      violate("determinism: metrics snapshots differ at threads=" +
-              std::to_string(t));
+    };
+    if (par.run.undecided_nodes != rep.run.undecided_nodes)
+      differ("undecided_nodes");
+    if (par.run.dead_link_nodes != rep.run.dead_link_nodes)
+      differ("dead_link_nodes");
+    if (par.statuses != rep.statuses) differ("per-node statuses");
+    if (par.sent_by_node != rep.sent_by_node) differ("per-node send counts");
+    if (par.run.metrics != rep.run.metrics) differ("metrics snapshots");
   }
 
   return out;

@@ -13,8 +13,10 @@
 //   determinism  when scenario.threads > 1, a rerun on that worker count
 //                (with the sequential cutoff forced to 1, so every round
 //                takes the sharded path) must match the threads=1 run on
-//                every counter, every node status and every per-node send
-//                count — the PR-2 guarantee extended to the whole space.
+//                every for_each_counter counter (net/engine.hpp), the
+//                undecided and dead-link node samples, every node status,
+//                every per-node send count and the metrics snapshot — the
+//                engine's thread-count guarantee extended to the whole space.
 //
 // Under an adversarial scenario (token `a=` / `f=` segments) the judgment
 // splits along the registry's declarations: safety (at most one leader,

@@ -31,36 +31,13 @@ std::uint64_t outcome_digest(const ElectionReport& rep) {
 }
 
 ResultCounters result_counters(const ElectionReport& rep) {
-  const RunResult& r = rep.run;
   ResultCounters out;
-  out.reserve(28);
-  const auto add = [&out](const char* name, std::uint64_t v) {
+  for_each_counter(rep.run, [&out](const char* name, std::uint64_t v) {
     out.emplace_back(name, v);
-  };
-  add("rounds", r.rounds);
-  add("executed_rounds", r.executed_rounds);
-  add("node_steps", r.node_steps);
-  add("messages", r.messages);
-  add("bits", r.bits);
-  add("completed", r.completed ? 1 : 0);
-  add("congest_violations", r.congest_violations);
-  add("elected", r.elected);
-  add("non_elected", r.non_elected);
-  add("undecided", r.undecided);
-  add("last_status_change", r.last_status_change);
-  add("last_progress", r.last_progress);
-  add("crashed", r.crashed);
-  add("recoveries", r.recoveries);
-  add("adv_crash_drops", r.adv_crash_drops);
-  add("adv_drops", r.adv_drops);
-  add("adv_dups", r.adv_dups);
-  add("adv_delays", r.adv_delays);
-  add("dead_links", r.dead_links);
-  add("dead_link_drops", r.dead_link_drops);
-  add("healed_links", r.healed_links);
-  add("unique_leader", rep.verdict.unique_leader ? 1 : 0);
-  add("leader_slot", rep.verdict.leader_slot);
-  add("outcome_digest", outcome_digest(rep));
+  });
+  out.emplace_back("unique_leader", rep.verdict.unique_leader ? 1 : 0);
+  out.emplace_back("leader_slot", rep.verdict.leader_slot);
+  out.emplace_back("outcome_digest", outcome_digest(rep));
   return out;
 }
 
@@ -91,7 +68,11 @@ ResultCounters parse_result(const std::string& payload) {
       if (c < '0' || c > '9')
         throw std::invalid_argument("malformed result value \"" + line +
                                     "\"");
-      v = v * 10 + static_cast<std::uint64_t>(c - '0');
+      const auto d = static_cast<std::uint64_t>(c - '0');
+      if (v > (UINT64_MAX - d) / 10)
+        throw std::invalid_argument("result value overflows 64 bits \"" +
+                                    line + "\"");
+      v = v * 10 + d;
     }
     out.emplace_back(line.substr(0, eq), v);
     pos = nl + 1;

@@ -16,13 +16,13 @@
 //     Scenario::parse, so both forms hit the same validation path.
 //
 // Result payload (JobResult): the result grammar — one `name=value` line
-// per counter, in the fixed order result_counters() emits.  The counters
-// cover every deterministic RunResult field, the verdict, and a digest over
-// the per-node outcome vectors (statuses + send counts), so "the daemon
-// returned bit-for-bit what an in-process run_election produces" is a
-// straight vector comparison: run the token locally, render result_counters
-// of both, diff.  Wall-clock never appears — every line is a pure function
-// of the token.
+// per counter, in the fixed order result_counters() emits: the RunResult
+// counters in for_each_counter's table order (net/engine.hpp), then the
+// verdict, then a digest over the per-node outcome vectors (statuses + send
+// counts), so "the daemon returned bit-for-bit what an in-process
+// run_election produces" is a straight vector comparison: run the token
+// locally, render result_counters of both, diff.  Wall-clock never appears
+// — every line is a pure function of the token.
 
 #pragma once
 
@@ -47,7 +47,7 @@ ResultCounters result_counters(const ElectionReport& rep);
 std::string encode_result(const ResultCounters& counters);
 
 /// Parse a JobResult payload back into its counter vector.  Throws
-/// std::invalid_argument on a malformed line.
+/// std::invalid_argument on a malformed line or a value past 2^64 - 1.
 ResultCounters parse_result(const std::string& payload);
 
 /// Interpret a SubmitJob payload (token or — when kSubmitFields is set —

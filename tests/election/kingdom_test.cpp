@@ -6,6 +6,7 @@
 
 #include "graphgen/generators.hpp"
 #include "graphgen/graph_algos.hpp"
+#include "helpers.hpp"
 #include "net/engine.hpp"
 
 namespace ule {
@@ -61,8 +62,7 @@ TEST(Kingdom, DeterministicGivenIds) {
   opt.seed = 5;
   const auto a = run_election(g, make_kingdom(), opt);
   const auto b = run_election(g, make_kingdom(), opt);
-  EXPECT_EQ(a.run.messages, b.run.messages);
-  EXPECT_EQ(a.run.rounds, b.run.rounds);
+  EXPECT_TRUE(testing::same_counters(a.run, b.run));
   EXPECT_EQ(a.verdict.leader_slot, b.verdict.leader_slot);
 }
 

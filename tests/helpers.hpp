@@ -1,7 +1,10 @@
 // Shared fixtures for the test suite: a registry of graph families with
-// exactly known diameters, used by the parameterized cross-algorithm tests.
+// exactly known diameters, used by the parameterized cross-algorithm tests,
+// and the "same counters" predicate every run-identity check asserts.
 
 #pragma once
+
+#include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
@@ -13,10 +16,23 @@
 #include "graphgen/generators.hpp"
 #include "graphgen/graph_algos.hpp"
 #include "graphgen/path_of_cliques.hpp"
+#include "net/engine.hpp"
 #include "net/graph.hpp"
 #include "net/rng.hpp"
 
 namespace ule::testing {
+
+/// Every for_each_counter counter of `got` equals `base`'s; a failure names
+/// each differing counter with both values.
+inline ::testing::AssertionResult same_counters(const RunResult& base,
+                                                const RunResult& got) {
+  const std::vector<CounterDiff> diffs = diff_counters(base, got);
+  if (diffs.empty()) return ::testing::AssertionSuccess();
+  ::testing::AssertionResult fail = ::testing::AssertionFailure();
+  for (const CounterDiff& d : diffs)
+    fail << d.name << " " << d.got << " != " << d.base << "; ";
+  return fail;
+}
 
 struct Family {
   std::string name;

@@ -26,6 +26,7 @@
 #include "election/sublinear_complete.hpp"
 #include "graphgen/dumbbell.hpp"
 #include "graphgen/generators.hpp"
+#include "helpers.hpp"
 #include "net/engine.hpp"
 #include "net/ids.hpp"
 #include "spanner/spanner_elect.hpp"
@@ -43,25 +44,9 @@ ElectionReport run_snapshot(const Graph& g, const ProcessFactory& factory,
 
 void expect_identical(const ElectionReport& base, const ElectionReport& got,
                       const std::string& where) {
-  EXPECT_EQ(base.run.rounds, got.run.rounds) << where;
-  EXPECT_EQ(base.run.executed_rounds, got.run.executed_rounds) << where;
-  EXPECT_EQ(base.run.node_steps, got.run.node_steps) << where;
-  EXPECT_EQ(base.run.messages, got.run.messages) << where;
-  EXPECT_EQ(base.run.bits, got.run.bits) << where;
-  EXPECT_EQ(base.run.completed, got.run.completed) << where;
-  EXPECT_EQ(base.run.congest_violations, got.run.congest_violations) << where;
-  EXPECT_EQ(base.run.elected, got.run.elected) << where;
-  EXPECT_EQ(base.run.non_elected, got.run.non_elected) << where;
-  EXPECT_EQ(base.run.undecided, got.run.undecided) << where;
-  EXPECT_EQ(base.run.last_status_change, got.run.last_status_change) << where;
-  EXPECT_EQ(base.run.last_progress, got.run.last_progress) << where;
-  EXPECT_EQ(base.run.crashed, got.run.crashed) << where;
-  EXPECT_EQ(base.run.recoveries, got.run.recoveries) << where;
-  EXPECT_EQ(base.run.adv_crash_drops, got.run.adv_crash_drops) << where;
-  EXPECT_EQ(base.run.adv_drops, got.run.adv_drops) << where;
-  EXPECT_EQ(base.run.adv_dups, got.run.adv_dups) << where;
-  EXPECT_EQ(base.run.adv_delays, got.run.adv_delays) << where;
+  EXPECT_TRUE(testing::same_counters(base.run, got.run)) << where;
   EXPECT_EQ(base.run.undecided_nodes, got.run.undecided_nodes) << where;
+  EXPECT_EQ(base.run.dead_link_nodes, got.run.dead_link_nodes) << where;
   ASSERT_EQ(base.statuses.size(), got.statuses.size()) << where;
   for (NodeId s = 0; s < base.statuses.size(); ++s)
     EXPECT_EQ(base.statuses[s], got.statuses[s]) << where << " node " << s;

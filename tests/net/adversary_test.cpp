@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "helpers.hpp"
 #include "net/engine.hpp"
 
 namespace ule {
@@ -73,29 +74,28 @@ class Quitter final : public Process {
   }
 };
 
-TEST(Adversary, InertConfigMatchesPlainRunExactly) {
-  // seed set, every knob zero: active() is false and the engine must take
-  // the fault-free hot path — identical counters on every axis.
-  const auto run_once = [](bool inert_adversary) {
+TEST(Adversary, InertConfigsMatchPlainRunExactly) {
+  // An inert adversary (seed set, every knob zero: active() is false) and a
+  // churn schedule of ONLY empty intervals (recover == crash, dropped at
+  // build time) must both take the exact fault-free hot path — every
+  // counter identical to a plain run, so nothing crashed and nothing reborn.
+  const auto run_once = [](const AdversaryConfig& adversary) {
     EngineConfig cfg;
     cfg.seed = 5;
-    if (inert_adversary) cfg.adversary.seed = 0xFEED;  // inert: no knobs
+    cfg.adversary = adversary;
     const Graph g = path3();
     SyncEngine eng(g, cfg);
     eng.init_processes([](NodeId) { return std::make_unique<Chatter>(4); });
     return eng.run();
   };
-  const RunResult plain = run_once(false);
-  const RunResult inert = run_once(true);
+  const RunResult plain = run_once({});
   EXPECT_TRUE(plain.completed);
-  EXPECT_EQ(plain.rounds, inert.rounds);
-  EXPECT_EQ(plain.executed_rounds, inert.executed_rounds);
-  EXPECT_EQ(plain.node_steps, inert.node_steps);
-  EXPECT_EQ(plain.messages, inert.messages);
-  EXPECT_EQ(plain.bits, inert.bits);
-  EXPECT_EQ(plain.last_status_change, inert.last_status_change);
-  EXPECT_EQ(plain.last_progress, inert.last_progress);
-  EXPECT_EQ(inert.crashed, 0u);
+  AdversaryConfig inert;
+  inert.seed = 0xFEED;
+  EXPECT_TRUE(testing::same_counters(plain, run_once(inert)));
+  AdversaryConfig noop_churn;
+  noop_churn.crashes = {{1, 3, 3}, {2, 4, 4}};
+  EXPECT_TRUE(testing::same_counters(plain, run_once(noop_churn)));
 }
 
 TEST(Adversary, DropIsBilledButNotDelivered) {
@@ -181,34 +181,6 @@ TEST(Adversary, CrashStopHaltsTheNodeMidRun) {
   for (const auto& [round, payload] : neighbor->got) {
     if (payload / 1000 == 2) EXPECT_LT(Chatter::sent_round(payload), 3u);
   }
-}
-
-TEST(Adversary, EmptyChurnIntervalIsAPerfectNoOp) {
-  // recover == crash is an empty dead window: the engine drops it at build
-  // time, and a schedule of ONLY empty intervals must take the exact
-  // fault-free hot path — every counter bit-identical to a plain run,
-  // nothing crashed, nothing reborn.
-  const auto run_once = [](bool noop_churn) {
-    EngineConfig cfg;
-    cfg.seed = 5;
-    if (noop_churn) cfg.adversary.crashes = {{1, 3, 3}, {2, 4, 4}};
-    const Graph g = path3();
-    SyncEngine eng(g, cfg);
-    eng.init_processes([](NodeId) { return std::make_unique<Chatter>(4); });
-    return eng.run();
-  };
-  const RunResult plain = run_once(false);
-  const RunResult noop = run_once(true);
-  EXPECT_TRUE(noop.completed);
-  EXPECT_EQ(plain.rounds, noop.rounds);
-  EXPECT_EQ(plain.executed_rounds, noop.executed_rounds);
-  EXPECT_EQ(plain.node_steps, noop.node_steps);
-  EXPECT_EQ(plain.messages, noop.messages);
-  EXPECT_EQ(plain.bits, noop.bits);
-  EXPECT_EQ(plain.last_progress, noop.last_progress);
-  EXPECT_EQ(noop.crashed, 0u);
-  EXPECT_EQ(noop.recoveries, 0u);
-  EXPECT_EQ(noop.adv_crash_drops, 0u);
 }
 
 TEST(Adversary, RecoveryAfterGlobalTerminationReopensTheRun) {

@@ -14,6 +14,7 @@
 #include "election/election.hpp"
 #include "election/flood_max.hpp"
 #include "graphgen/generators.hpp"
+#include "helpers.hpp"
 #include "net/engine.hpp"
 #include "net/metrics.hpp"
 #include "net/reliable.hpp"
@@ -161,15 +162,7 @@ TEST(Metrics, EnablingMetricsNeverPerturbsTheRun) {
   const ElectionReport on = metered_run(1, true);
   EXPECT_FALSE(off.run.metrics.has_value());
   ASSERT_TRUE(on.run.metrics.has_value());
-  EXPECT_EQ(off.run.rounds, on.run.rounds);
-  EXPECT_EQ(off.run.executed_rounds, on.run.executed_rounds);
-  EXPECT_EQ(off.run.node_steps, on.run.node_steps);
-  EXPECT_EQ(off.run.messages, on.run.messages);
-  EXPECT_EQ(off.run.bits, on.run.bits);
-  EXPECT_EQ(off.run.elected, on.run.elected);
-  EXPECT_EQ(off.run.last_progress, on.run.last_progress);
-  EXPECT_EQ(off.run.adv_drops, on.run.adv_drops);
-  EXPECT_EQ(off.run.adv_dups, on.run.adv_dups);
+  EXPECT_TRUE(testing::same_counters(off.run, on.run));
 }
 
 TEST(Metrics, SnapshotCountersMatchTheRunResult) {

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "helpers.hpp"
 #include "net/engine.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
@@ -65,14 +66,7 @@ TEST(ReliableScenario, EveryVariantConformsUnderFullMaskAcrossThreads) {
       // Bit-for-bit: retransmit deadlines, adversary coins and wrapper state
       // are all pure functions of (round, seq, config) — worker interleaving
       // must never show through.
-      EXPECT_EQ(r.rounds, base.rounds) << proto.name << " t=" << t;
-      EXPECT_EQ(r.executed_rounds, base.executed_rounds)
-          << proto.name << " t=" << t;
-      EXPECT_EQ(r.node_steps, base.node_steps) << proto.name << " t=" << t;
-      EXPECT_EQ(r.messages, base.messages) << proto.name << " t=" << t;
-      EXPECT_EQ(r.bits, base.bits) << proto.name << " t=" << t;
-      EXPECT_EQ(r.last_progress, base.last_progress)
-          << proto.name << " t=" << t;
+      EXPECT_TRUE(testing::same_counters(base, r)) << proto.name << " t=" << t;
     }
   }
   // The registry actually carries the reliable fleet.

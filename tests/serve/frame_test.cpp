@@ -215,6 +215,15 @@ TEST(ResultGrammar, RoundTripsAndRejectsMalformedLines) {
   EXPECT_THROW(parse_result("rounds\n"), std::invalid_argument);
   EXPECT_THROW(parse_result("rounds=ten\n"), std::invalid_argument);
   EXPECT_THROW(parse_result("=5\n"), std::invalid_argument);
+  // 2^64 - 1 is the largest value; anything past it must not wrap.
+  EXPECT_EQ(parse_result("rounds=18446744073709551615\n"),
+            (ResultCounters{{"rounds", ~0ULL}}));
+  EXPECT_THROW(parse_result("rounds=18446744073709551616\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_result("rounds=18446744073709551617\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_result("rounds=100000000000000000000\n"),
+               std::invalid_argument);
 }
 
 TEST(SubmitGrammar, TokenAndFieldFormsParseToTheSameScenario) {

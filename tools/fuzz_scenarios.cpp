@@ -25,12 +25,14 @@
 // Exit status: 0 when every scenario conforms, 1 on any violation, 2 on
 // usage / configuration errors.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
 
+#include "net/engine.hpp"
 #include "net/metrics.hpp"
 #include "scenario/fuzzer.hpp"
 #include "scenario/registry.hpp"
@@ -85,12 +87,11 @@ int replay(const ProtocolRegistry& protos, const FamilyRegistry& fams,
     std::printf("shape     n=%zu m=%zu D=%u%s\n", out.shape.n, out.shape.m,
                 out.shape.diameter, out.shape.complete ? " complete" : "");
     const RunResult& r = out.report.run;
-    std::printf("run       rounds=%llu executed=%llu messages=%llu bits=%llu "
-                "completed=%d\n",
-                static_cast<unsigned long long>(r.rounds),
-                static_cast<unsigned long long>(r.executed_rounds),
-                static_cast<unsigned long long>(r.messages),
-                static_cast<unsigned long long>(r.bits), r.completed ? 1 : 0);
+    std::printf("run      ");
+    for_each_counter(r, [](const char* name, std::uint64_t v) {
+      std::printf(" %s=%llu", name, static_cast<unsigned long long>(v));
+    });
+    std::printf("\n");
     std::printf("verdict   elected=%zu non_elected=%zu undecided=%zu%s\n",
                 out.report.verdict.elected, out.report.verdict.non_elected,
                 out.report.verdict.undecided,
