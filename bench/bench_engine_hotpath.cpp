@@ -76,6 +76,7 @@
 #include "election/dfs_election.hpp"
 #include "net/metrics.hpp"
 #include "election/flood_max.hpp"
+#include "json/bench_doc.hpp"
 #include "election/least_el.hpp"
 #include "election/sublinear_complete.hpp"
 #include "graphgen/dumbbell.hpp"
@@ -109,7 +110,7 @@ struct Measured {
   bool unique_leader = false;
 };
 
-void report_row(bench::JsonReport& report, const char* workload,
+void report_row(json::JsonReport& report, const char* workload,
                 const char* family, std::size_t n, std::uint64_t seed,
                 const Measured& mr, unsigned threads) {
   const double secs = mr.wall_ms / 1000.0;
@@ -238,7 +239,7 @@ int main(int argc, char** argv) {
 
   bench::header("Engine hot path: wall-clock throughput",
                 "per-round cost O(runnable + delivered), not O(n)");
-  bench::JsonReport report("engine_hotpath");
+  json::JsonReport report("engine_hotpath");
   const std::uint64_t seed = 1;
 
   auto capped = [&](std::initializer_list<std::size_t> sizes) {
@@ -471,13 +472,12 @@ int main(int argc, char** argv) {
                    err.c_str());
       return 1;
     }
-    std::FILE* f = std::fopen(metrics_out.c_str(), "wb");
-    if (!f || std::fwrite(doc.data(), 1, doc.size(), f) != doc.size()) {
-      std::fprintf(stderr, "cannot write %s\n", metrics_out.c_str());
-      if (f) std::fclose(f);
+    try {
+      json::write_text_file(metrics_out, doc);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
       return 1;
     }
-    std::fclose(f);
     std::printf("wrote %s (engine_metrics snapshot, n=%zu)\n",
                 metrics_out.c_str(), n);
   }

@@ -14,9 +14,7 @@
 #include <cstdio>
 #include <functional>
 #include <numeric>
-#include <stdexcept>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "election/election.hpp"
@@ -26,9 +24,8 @@
 namespace ule::bench {
 
 // ---------------------------------------------------------------------------
-// Wall-clock timing + machine-readable output (the perf-baseline convention:
-// every perf-sensitive bench writes a BENCH_*.json so later PRs have a
-// trajectory to beat; see ROADMAP.md).
+// Wall-clock timing.  Machine-readable output (the BENCH_*.json baselines)
+// goes through json::JsonReport (src/json/bench_doc.hpp).
 // ---------------------------------------------------------------------------
 
 /// Monotonic wall-clock stopwatch.
@@ -43,83 +40,6 @@ class WallTimer {
 
  private:
   std::chrono::steady_clock::time_point start_;
-};
-
-/// One flat JSON object: ordered key -> (string | number | bool).  Enough for
-/// bench rows; no nesting, no escapes beyond the basics.
-class JsonObject {
- public:
-  JsonObject& set(std::string key, std::string v) {
-    fields_.emplace_back(std::move(key), Value{std::move(v)});
-    return *this;
-  }
-  JsonObject& set(std::string key, const char* v) {
-    return set(std::move(key), std::string(v));
-  }
-  JsonObject& set(std::string key, double v) {
-    fields_.emplace_back(std::move(key), Value{v});
-    return *this;
-  }
-  JsonObject& set(std::string key, std::uint64_t v) {
-    fields_.emplace_back(std::move(key), Value{v});
-    return *this;
-  }
-  JsonObject& set(std::string key, bool v) {
-    fields_.emplace_back(std::move(key), Value{v});
-    return *this;
-  }
-
-  std::string to_string() const {
-    std::string out = "{";
-    bool first = true;
-    for (const auto& [k, v] : fields_) {
-      if (!first) out += ", ";
-      first = false;
-      out += "\"" + k + "\": ";
-      if (std::holds_alternative<std::string>(v)) {
-        out += "\"" + std::get<std::string>(v) + "\"";
-      } else if (std::holds_alternative<double>(v)) {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.6g", std::get<double>(v));
-        out += buf;
-      } else if (std::holds_alternative<std::uint64_t>(v)) {
-        out += std::to_string(std::get<std::uint64_t>(v));
-      } else {
-        out += std::get<bool>(v) ? "true" : "false";
-      }
-    }
-    return out + "}";
-  }
-
- private:
-  using Value = std::variant<std::string, double, std::uint64_t, bool>;
-  std::vector<std::pair<std::string, Value>> fields_;
-};
-
-/// Collects rows and writes {"bench": ..., "rows": [...]} to a file.
-class JsonReport {
- public:
-  explicit JsonReport(std::string bench_name)
-      : bench_name_(std::move(bench_name)) {}
-
-  JsonObject& add_row() { return rows_.emplace_back(); }
-
-  void write(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) throw std::runtime_error("cannot open " + path);
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"rows\": [\n",
-                 bench_name_.c_str());
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      std::fprintf(f, "    %s%s\n", rows_[i].to_string().c_str(),
-                   i + 1 < rows_.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-  }
-
- private:
-  std::string bench_name_;
-  std::vector<JsonObject> rows_;
 };
 
 inline void header(const std::string& title, const std::string& claim) {

@@ -1,9 +1,8 @@
 #include "lab/report.hpp"
 
 #include <cstdio>
-#include <stdexcept>
 
-#include "bench_util.hpp"
+#include "json/bench_doc.hpp"
 
 namespace ule::lab {
 
@@ -17,7 +16,7 @@ std::string fmt(const char* f, double v) {
 
 std::string u64(std::uint64_t v) { return std::to_string(v); }
 
-void add_metric(bench::JsonObject& row, const char* name,
+void add_metric(json::JsonObject& row, const char* name,
                 const MetricStats& s) {
   row.set(std::string(name) + "_median", s.median)
       .set(std::string(name) + "_p95", s.p95)
@@ -27,19 +26,16 @@ void add_metric(bench::JsonObject& row, const char* name,
 }  // namespace
 
 std::string bench_json(const CampaignResult& res, bool include_wall) {
-  std::vector<bench::JsonObject> rows;
-
-  {
-    bench::JsonObject& meta = rows.emplace_back();
-    meta.set("kind", "meta")
-        .set("master_seed", res.master_seed)
-        .set("replicates", std::uint64_t{res.replicates})
-        .set("total_runs", std::uint64_t{res.total_runs});
-  }
+  json::JsonReport report("complexity_lab");
+  report.add_row()
+      .set("kind", "meta")
+      .set("master_seed", res.master_seed)
+      .set("replicates", std::uint64_t{res.replicates})
+      .set("total_runs", std::uint64_t{res.total_runs});
 
   for (const CurveResult& c : res.curves) {
     for (const CellResult& cell : c.cells) {
-      bench::JsonObject& row = rows.emplace_back();
+      json::JsonObject& row = report.add_row();
       row.set("kind", "cell")
           .set("protocol", c.protocol)
           .set("family", c.family)
@@ -74,7 +70,7 @@ std::string bench_json(const CampaignResult& res, bool include_wall) {
       row.set("ok", cell.violations.empty());
     }
     for (const FitOutcome& f : c.fits) {
-      bench::JsonObject& row = rows.emplace_back();
+      json::JsonObject& row = report.add_row();
       row.set("kind", "fit")
           .set("protocol", c.protocol)
           .set("family", c.family)
@@ -97,13 +93,7 @@ std::string bench_json(const CampaignResult& res, bool include_wall) {
     }
   }
 
-  std::string out = "{\n  \"bench\": \"complexity_lab\",\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    out += "    " + rows[i].to_string();
-    out += i + 1 < rows.size() ? ",\n" : "\n";
-  }
-  out += "  ]\n}\n";
-  return out;
+  return report.str();
 }
 
 std::string complexity_markdown(const CampaignResult& res) {
@@ -326,27 +316,6 @@ std::string registry_markdown(const ProtocolRegistry& protocols,
   md += "\n";
 
   return md;
-}
-
-void write_text_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) throw std::runtime_error("cannot open " + path);
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-}
-
-std::string read_text_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (!f) throw std::runtime_error("cannot open " + path);
-  std::string out;
-  char buf[4096];
-  for (;;) {
-    const std::size_t got = std::fread(buf, 1, sizeof(buf), f);
-    out.append(buf, got);
-    if (got < sizeof(buf)) break;
-  }
-  std::fclose(f);
-  return out;
 }
 
 }  // namespace ule::lab

@@ -2,9 +2,12 @@
 // docs/COMPLEXITY.md report (the empirical counterpart of the paper's
 // Table 1), and the generated docs/REGISTRY.md protocol/family reference.
 //
-// JSON rows follow the ROADMAP bench-baseline convention (bench/bench_util
-// JsonObject rows inside {"bench": ..., "rows": [...]}).  Three row kinds,
-// tagged by a "kind" field:
+// The JSON document is a bench document (json/bench_doc.hpp): bench tag
+// "complexity_lab", then flat rows written by json::JsonReport.  The trend
+// gate reads it back with the module's strict reader — "bench" then "rows",
+// no escape processing, no repeated key in a row, nothing after the closing
+// brace — so anything that edits a lab document by hand must keep to that
+// grammar.  Three row kinds, tagged by a "kind" field:
 //
 //   meta  one row: master_seed, replicates, total_runs
 //   cell  one per (protocol, family, n): counter order statistics
@@ -40,12 +43,5 @@ std::string complexity_markdown(const CampaignResult& res);
 /// fails on drift against the committed file.
 std::string registry_markdown(const ProtocolRegistry& protocols,
                               const FamilyRegistry& families);
-
-/// Write `content` to `path` (throws std::runtime_error on failure).
-void write_text_file(const std::string& path, const std::string& content);
-
-/// Read `path` in full (throws std::runtime_error on failure).  Used by the
-/// --trend gate to load the baseline and current BENCH_lab.json documents.
-std::string read_text_file(const std::string& path);
 
 }  // namespace ule::lab

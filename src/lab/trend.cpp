@@ -1,189 +1,61 @@
 #include "lab/trend.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <map>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
+
+#include "json/bench_doc.hpp"
 
 namespace ule::lab {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// A minimal parser for the flat document bench_json emits: one top-level
-// object with a "bench" string and a "rows" array of flat objects whose
-// values are strings, numbers or booleans.  Nothing nests deeper, so this is
-// deliberately not a general JSON parser — anything outside that shape is a
-// parse error, which is exactly what we want from a gate input.
-// ---------------------------------------------------------------------------
+using json::Row;
 
-struct Value {
-  enum class Kind { Str, Num, Bool } kind = Kind::Num;
-  std::string str;
-  double num = 0;
-  bool boolean = false;
-};
-
-using Row = std::map<std::string, Value>;
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : s_(text) {}
-
-  /// Parse the whole document; returns the rows array.
-  std::vector<Row> parse_document() {
-    expect('{');
-    std::vector<Row> rows;
-    bool saw_rows = false;
-    for (;;) {
-      const std::string key = parse_string();
-      expect(':');
-      if (key == "rows") {
-        rows = parse_rows();
-        saw_rows = true;
-      } else {
-        parse_scalar();  // "bench" and any future top-level scalar
-      }
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      break;
-    }
-    expect('}');
-    if (!saw_rows) fail("document has no \"rows\" array");
-    return rows;
+/// The rows of a lab document; throws std::invalid_argument on a parse
+/// error or a bench tag other than "complexity_lab".
+std::vector<Row> lab_rows(const std::string& text, const char* which) {
+  json::Document doc;
+  try {
+    doc = json::parse(text);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string(which) + ": " + e.what());
   }
-
- private:
-  [[noreturn]] void fail(const std::string& what) {
-    throw std::invalid_argument("BENCH_lab.json parse error at offset " +
-                                std::to_string(pos_) + ": " + what);
-  }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\n' || s_[pos_] == '\t' ||
-            s_[pos_] == '\r'))
-      ++pos_;
-  }
-  char peek() {
-    skip_ws();
-    if (pos_ >= s_.size()) fail("unexpected end of document");
-    return s_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c)
-      fail(std::string("expected '") + c + "', got '" + s_[pos_] + "'");
-    ++pos_;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\' && pos_ + 1 < s_.size()) ++pos_;
-      out += s_[pos_++];
-    }
-    if (pos_ >= s_.size()) fail("unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  Value parse_scalar() {
-    Value v;
-    const char c = peek();
-    if (c == '"') {
-      v.kind = Value::Kind::Str;
-      v.str = parse_string();
-      return v;
-    }
-    if (c == 't' || c == 'f') {
-      const char* word = c == 't' ? "true" : "false";
-      for (const char* p = word; *p != '\0'; ++p, ++pos_) {
-        if (pos_ >= s_.size() || s_[pos_] != *p) fail("bad literal");
-      }
-      v.kind = Value::Kind::Bool;
-      v.boolean = c == 't';
-      return v;
-    }
-    std::size_t end = pos_;
-    while (end < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[end])) ||
-            s_[end] == '-' || s_[end] == '+' || s_[end] == '.' ||
-            s_[end] == 'e' || s_[end] == 'E'))
-      ++end;
-    if (end == pos_) fail("expected a value");
-    v.kind = Value::Kind::Num;
-    try {
-      v.num = std::stod(s_.substr(pos_, end - pos_));
-    } catch (const std::exception&) {
-      fail("malformed number \"" + s_.substr(pos_, end - pos_) + "\"");
-    }
-    pos_ = end;
-    return v;
-  }
-
-  Row parse_row() {
-    expect('{');
-    Row row;
-    if (peek() == '}') {
-      ++pos_;
-      return row;
-    }
-    for (;;) {
-      std::string key = parse_string();
-      expect(':');
-      row.emplace(std::move(key), parse_scalar());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return row;
-    }
-  }
-
-  std::vector<Row> parse_rows() {
-    expect('[');
-    std::vector<Row> rows;
-    if (peek() == ']') {
-      ++pos_;
-      return rows;
-    }
-    for (;;) {
-      rows.push_back(parse_row());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return rows;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Comparison
-// ---------------------------------------------------------------------------
-
-std::string get_str(const Row& row, const std::string& key,
-                    const std::string& fallback = "") {
-  const auto it = row.find(key);
-  if (it == row.end() || it->second.kind != Value::Kind::Str) return fallback;
-  return it->second.str;
+  if (doc.bench != "complexity_lab")
+    throw std::invalid_argument(std::string(which) + ": bench tag is \"" +
+                                doc.bench + "\", expected \"complexity_lab\"");
+  return std::move(doc.rows);
 }
 
-bool get_num(const Row& row, const std::string& key, double* out) {
-  const auto it = row.find(key);
-  if (it == row.end() || it->second.kind != Value::Kind::Num) return false;
-  *out = it->second.num;
+std::string get_str(const Row& row, std::string_view key,
+                    const std::string& fallback = "") {
+  const json::Value* v = row.find(key);
+  return v != nullptr && v->quoted ? v->text : fallback;
+}
+
+/// True when `key` holds the bare literal `word` ("true" / "false").
+bool is_literal(const Row& row, std::string_view key, std::string_view word) {
+  const json::Value* v = row.find(key);
+  return v != nullptr && !v->quoted && v->text == word;
+}
+
+/// The number stored under `key`; false when the field is absent, a string
+/// or a boolean.  A number that does not convert in full throws, so "4-7"
+/// can never be compared as 4.
+bool get_num(const Row& row, std::string_view key, double* out) {
+  const json::Value* v = row.find(key);
+  if (v == nullptr || v->quoted || v->text == "true" || v->text == "false")
+    return false;
+  const char* end = v->text.data() + v->text.size();
+  const auto [stop, ec] = std::from_chars(v->text.data(), end, *out);
+  if (ec != std::errc() || stop != end)
+    throw std::invalid_argument("malformed number \"" + v->text +
+                                "\" in field \"" + std::string(key) + "\"");
   return true;
 }
 
@@ -240,8 +112,8 @@ const std::vector<std::string>& compared_fields(const std::string& kind) {
 TrendReport compare_lab_trend(const std::string& baseline_json,
                               const std::string& current_json,
                               const TrendConfig& cfg) {
-  const std::vector<Row> base = Parser(baseline_json).parse_document();
-  const std::vector<Row> cur = Parser(current_json).parse_document();
+  const std::vector<Row> base = lab_rows(baseline_json, "baseline");
+  const std::vector<Row> cur = lab_rows(current_json, "current");
 
   TrendReport rep;
 
@@ -326,25 +198,17 @@ TrendReport compare_lab_trend(const std::string& baseline_json,
                                std::to_string(ec) + " (tol " +
                                std::to_string(cfg.exponent_tol) + ")");
       }
-      const auto pass_of = [](const Row& r) {
-        const auto it2 = r.find("pass");
-        return it2 != r.end() && it2->second.kind == Value::Kind::Bool &&
-               it2->second.boolean;
-      };
-      if (pass_of(b) && !pass_of(c))
+      const bool pass_b = is_literal(b, "pass", "true");
+      const bool pass_c = is_literal(c, "pass", "true");
+      if (pass_b && !pass_c)
         rep.errors.push_back(key + ": was in band, now FAILS its band");
-      if (!pass_of(b) && pass_of(c))
+      if (!pass_b && pass_c)
         rep.notes.push_back(key + ": was out of band, now passes");
     }
-    if (kind == "cell") {
-      const auto ok_of = [](const Row& r) {
-        const auto it2 = r.find("ok");
-        return it2 == r.end() || it2->second.kind != Value::Kind::Bool ||
-               it2->second.boolean;
-      };
-      if (ok_of(b) && !ok_of(c))
-        rep.errors.push_back(key + ": cell now has conformance violations");
-    }
+    // A cell is ok unless it says "ok": false.
+    if (kind == "cell" && !is_literal(b, "ok", "false") &&
+        is_literal(c, "ok", "false"))
+      rep.errors.push_back(key + ": cell now has conformance violations");
   }
 
   for (const auto& [key, seen] : matched)

@@ -47,9 +47,14 @@ struct TrendReport {
 };
 
 /// Compare two BENCH_lab.json documents (verbatim file contents, baseline
-/// first).  Throws std::invalid_argument when a document cannot be parsed;
-/// incomparable campaigns (different master seed or replicate count — a
-/// configuration change, not drift) are reported as errors.
+/// first).  Both are read with the strict bench-document reader
+/// (json/bench_doc.hpp): "bench" then "rows", no escape processing, no key
+/// repeated within a row, nothing after the closing brace.  Throws
+/// std::invalid_argument when a document breaks that grammar, carries a
+/// bench tag other than "complexity_lab", or holds a number that does not
+/// convert in full (`4-7`) in a field the gate reads.  Incomparable
+/// campaigns (different master seed or replicate count — a configuration
+/// change, not drift) are reported as errors.
 TrendReport compare_lab_trend(const std::string& baseline_json,
                               const std::string& current_json,
                               const TrendConfig& cfg = {});

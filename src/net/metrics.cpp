@@ -1,24 +1,17 @@
-// metrics.hpp implementation: the bench-compatible JSON rendering and the
-// schema validator CI runs against per-PR snapshots.
-//
-// The renderer reproduces bench::JsonReport's byte format ({"bench": ...,
-// "rows": [...]}, 4-space row indent, ", "-separated fields) without
-// including bench_util.hpp — engine.hpp includes metrics.hpp, so this header
-// pair must stay free of the bench/ tree (a private include dir of the ule
-// library, see CMakeLists.txt).
-//
-// The validator is a purpose-built scanner, not a general JSON parser: the
-// schema is flat (one object per row, string/integer/bool values only), the
-// documents are machine-written by metrics_json or bench::JsonReport, and a
-// hand-rolled check keeps the tool free of external dependencies.  It is
-// strict about what matters (bench tag, row kinds, required fields, the
-// four well-known gauges appearing exactly once each) and lenient about
-// whitespace.
+// metrics.hpp implementation: the engine_metrics rendering and the schema
+// validator CI runs against per-PR snapshots.  Both go through the bench
+// document module (json/bench_doc.hpp): metrics_json builds its rows with
+// json::JsonReport, and validate_metrics_json is json::parse — which owns
+// the grammar, including "no row repeats a key" — plus the schema checks
+// below (bench tag, row kinds, required fields, the four well-known gauges
+// appearing exactly once each, counters sorted by name).
 
 #include "net/metrics.hpp"
 
-#include <cctype>
 #include <cstddef>
+#include <stdexcept>
+
+#include "json/bench_doc.hpp"
 
 namespace ule {
 
@@ -27,171 +20,71 @@ namespace {
 constexpr const char* kGaugeNames[] = {"active_set", "wake_heap", "inbox_csr",
                                        "outbox_arena"};
 
-void append_gauge_row(std::string& out, const char* name,
-                      const GaugeStats& g, bool last) {
-  out += "    {\"kind\": \"gauge\", \"name\": \"";
-  out += name;
-  out += "\", \"samples\": " + std::to_string(g.samples);
-  out += ", \"last\": " + std::to_string(g.last);
-  out += ", \"max\": " + std::to_string(g.max);
-  out += ", \"total\": " + std::to_string(g.total);
-  out += last ? "}\n" : "},\n";
-}
-
 bool fail(std::string* error, const std::string& reason) {
   if (error != nullptr) *error = reason;
   return false;
 }
 
-/// Minimal tokenizer over the flat snapshot grammar.  Tracks position only;
-/// all structure checks live in validate_metrics_json.
-struct Scanner {
-  std::string_view doc;
-  std::size_t pos = 0;
-
-  void skip_ws() {
-    while (pos < doc.size() &&
-           std::isspace(static_cast<unsigned char>(doc[pos])) != 0)
-      ++pos;
-  }
-  bool eat(char c) {
-    skip_ws();
-    if (pos >= doc.size() || doc[pos] != c) return false;
-    ++pos;
-    return true;
-  }
-  char peek() {
-    skip_ws();
-    return pos < doc.size() ? doc[pos] : '\0';
-  }
-  /// Parses a double-quoted string with no escapes (the snapshot grammar
-  /// never needs them: names are dotted identifiers).
-  bool string(std::string& out) {
-    if (!eat('"')) return false;
-    out.clear();
-    while (pos < doc.size() && doc[pos] != '"') out += doc[pos++];
-    return eat('"');
-  }
-  /// Accepts an unsigned integer, a %.6g-style number, or a bool — the only
-  /// scalar shapes bench-compatible writers emit.
-  bool scalar(std::string& out) {
-    skip_ws();
-    out.clear();
-    const std::string_view rest = doc.substr(pos);
-    if (rest.starts_with("true")) {
-      out = "true";
-      pos += 4;
-      return true;
-    }
-    if (rest.starts_with("false")) {
-      out = "false";
-      pos += 5;
-      return true;
-    }
-    while (pos < doc.size()) {
-      const char c = doc[pos];
-      if ((std::isdigit(static_cast<unsigned char>(c)) == 0) && c != '-' &&
-          c != '+' && c != '.' && c != 'e' && c != 'E')
-        break;
-      out += c;
-      ++pos;
-    }
-    return !out.empty();
-  }
-};
-
-bool is_uint(const std::string& s) {
-  if (s.empty()) return false;
-  for (const char c : s)
-    if (std::isdigit(static_cast<unsigned char>(c)) == 0) return false;
-  return true;
-}
-
 }  // namespace
 
 std::string metrics_json(const MetricsSnapshot& snap) {
-  std::string out = "{\n  \"bench\": \"engine_metrics\",\n  \"rows\": [\n";
+  json::JsonReport report("engine_metrics");
   const GaugeStats* gauges[] = {&snap.active_set, &snap.wake_heap,
                                 &snap.inbox_csr, &snap.outbox_arena};
   for (std::size_t i = 0; i < 4; ++i)
-    append_gauge_row(out, kGaugeNames[i], *gauges[i],
-                     i + 1 == 4 && snap.counters.empty());
-  for (std::size_t i = 0; i < snap.counters.size(); ++i) {
-    out += "    {\"kind\": \"counter\", \"name\": \"" +
-           snap.counters[i].first +
-           "\", \"value\": " + std::to_string(snap.counters[i].second);
-    out += i + 1 == snap.counters.size() ? "}\n" : "},\n";
-  }
-  out += "  ]\n}\n";
-  return out;
+    report.add_row()
+        .set("kind", "gauge")
+        .set("name", kGaugeNames[i])
+        .set("samples", gauges[i]->samples)
+        .set("last", gauges[i]->last)
+        .set("max", gauges[i]->max)
+        .set("total", gauges[i]->total);
+  for (const auto& [name, value] : snap.counters)
+    report.add_row().set("kind", "counter").set("name", name).set("value",
+                                                                  value);
+  return report.str();
 }
 
 bool validate_metrics_json(std::string_view doc, std::string* error) {
-  Scanner sc{doc};
-  if (!sc.eat('{')) return fail(error, "document is not a JSON object");
-
-  // Header: "bench": "engine_metrics", "rows": [
-  std::string key, value;
-  if (!sc.string(key) || key != "bench" || !sc.eat(':') || !sc.string(value))
-    return fail(error, "missing \"bench\" tag");
-  if (value != "engine_metrics")
-    return fail(error, "bench tag is \"" + value +
+  json::Document parsed;
+  try {
+    parsed = json::parse(doc);
+  } catch (const std::invalid_argument& e) {
+    return fail(error, e.what());
+  }
+  if (parsed.bench != "engine_metrics")
+    return fail(error, "bench tag is \"" + parsed.bench +
                            "\", expected \"engine_metrics\"");
-  if (!sc.eat(',') || !sc.string(key) || key != "rows" || !sc.eat(':') ||
-      !sc.eat('['))
-    return fail(error, "missing \"rows\" array");
 
   int gauge_seen[4] = {0, 0, 0, 0};
-  std::size_t row_index = 0;
   std::string prev_counter;
-  while (sc.peek() != ']') {
-    if (row_index > 0 && !sc.eat(','))
-      return fail(error, "rows are not comma-separated");
-    if (!sc.eat('{'))
-      return fail(error, "row " + std::to_string(row_index) +
-                             " is not an object");
+  for (std::size_t r = 0; r < parsed.rows.size(); ++r) {
+    const std::string where = "row " + std::to_string(r);
     std::string kind, name;
     bool has_value = false;
     int stat_fields = 0;  // samples/last/max/total seen on a gauge row
-    bool first_field = true;
-    while (sc.peek() != '}') {
-      if (!first_field && !sc.eat(','))
-        return fail(error, "row " + std::to_string(row_index) +
-                               ": fields are not comma-separated");
-      first_field = false;
-      if (!sc.string(key) || !sc.eat(':'))
-        return fail(error, "row " + std::to_string(row_index) +
-                               ": malformed field");
+    for (const auto& [key, value] : parsed.rows[r].fields) {
       if (key == "kind" || key == "name") {
-        if (!sc.string(value))
-          return fail(error, "row " + std::to_string(row_index) + ": \"" +
-                                 key + "\" is not a string");
-        (key == "kind" ? kind : name) = value;
+        if (!value.quoted)
+          return fail(error, where + ": \"" + key + "\" is not a string");
+        (key == "kind" ? kind : name) = value.text;
         continue;
       }
-      if (!sc.scalar(value))
-        return fail(error, "row " + std::to_string(row_index) + ": \"" + key +
-                               "\" has no scalar value");
-      if (key == "samples" || key == "last" || key == "max" ||
-          key == "total") {
-        if (!is_uint(value))
-          return fail(error, "row " + std::to_string(row_index) + ": \"" +
-                                 key + "\" is not an unsigned integer");
+      const bool stat =
+          key == "samples" || key == "last" || key == "max" || key == "total";
+      if (!stat && key != "value")
+        return fail(error, where + ": unknown field \"" + key + "\"");
+      if (value.quoted ||
+          value.text.find_first_not_of("0123456789") != std::string::npos)
+        return fail(error, where + ": \"" + key +
+                               "\" is not an unsigned integer");
+      if (stat)
         ++stat_fields;
-      } else if (key == "value") {
-        if (!is_uint(value))
-          return fail(error, "row " + std::to_string(row_index) +
-                                 ": counter value is not an unsigned integer");
+      else
         has_value = true;
-      } else {
-        return fail(error, "row " + std::to_string(row_index) +
-                               ": unknown field \"" + key + "\"");
-      }
     }
-    if (!sc.eat('}'))
-      return fail(error, "row " + std::to_string(row_index) + " not closed");
     if (name.empty())
-      return fail(error, "row " + std::to_string(row_index) + " has no name");
+      return fail(error, where + " has no name");
     if (kind == "gauge") {
       if (stat_fields != 4 || has_value)
         return fail(error, "gauge row \"" + name +
@@ -213,16 +106,9 @@ bool validate_metrics_json(std::string_view doc, std::string* error) {
                                "\" before \"" + name + "\"");
       prev_counter = name;
     } else {
-      return fail(error, "row " + std::to_string(row_index) +
-                             " has kind \"" + kind + "\"");
+      return fail(error, where + " has kind \"" + kind + "\"");
     }
-    ++row_index;
   }
-  if (!sc.eat(']') || !sc.eat('}'))
-    return fail(error, "document not closed");
-  sc.skip_ws();
-  if (sc.pos != doc.size())
-    return fail(error, "trailing content after the document");
   for (int i = 0; i < 4; ++i)
     if (gauge_seen[i] != 1)
       return fail(error, std::string("gauge \"") + kGaugeNames[i] +

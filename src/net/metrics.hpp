@@ -19,13 +19,12 @@
 //    default) must reproduce every RunResult counter of a metrics-free
 //    build, the same pinned contract as the inert adversary and the empty
 //    churn schedule (`metrics_off_overhead` bench row).
-//  * bench::JsonReport-compatible output.  metrics_json() renders the
-//    snapshot as `{"bench": "engine_metrics", "rows": [...]}` with the same
-//    formatting conventions as bench/bench_util.hpp, so the nightly job can
-//    append snapshots to a trajectory with the same tooling that reads every
-//    other BENCH_*.json.  (This header is included by engine.hpp, which is
-//    public API of the ule library, so it must NOT include bench_util.hpp —
-//    the rendering is hand-rolled to the same format in metrics.cpp.)
+//  * Bench-document output.  metrics_json() renders the snapshot as
+//    `{"bench": "engine_metrics", "rows": [...]}` through the one bench
+//    document writer (json/bench_doc.hpp), so the nightly job can append
+//    snapshots to a trajectory with the same tooling that reads every other
+//    BENCH_*.json, and validate_metrics_json() reads it back through the one
+//    strict reader of that module.
 //
 // Schema (docs/OBSERVABILITY.md is the reference):
 //
@@ -144,10 +143,11 @@ class MetricsRegistry final : public MetricsSink {
 /// sorted by name, no floats, newline-terminated.
 std::string metrics_json(const MetricsSnapshot& snap);
 
-/// Validate that `doc` is a well-formed engine_metrics snapshot: the
-/// "engine_metrics" bench tag, a rows array whose rows are gauge rows
+/// Validate that `doc` is a well-formed engine_metrics snapshot: a bench
+/// document (json/bench_doc.hpp's strict grammar, so no row repeats a key)
+/// with the "engine_metrics" bench tag, whose rows are gauge rows
 /// (samples/last/max/total, all four well-known names present exactly once)
-/// or counter rows (value), nothing else.  On failure returns false and, if
+/// or counter rows (value, sorted by name), nothing else.  On failure returns false and, if
 /// `error` is non-null, stores a one-line reason.  This is the schema gate
 /// CI runs against every per-PR snapshot.
 bool validate_metrics_json(std::string_view doc, std::string* error);

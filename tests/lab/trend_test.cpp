@@ -163,6 +163,18 @@ TEST(TrendTest, MalformedDocumentsThrow) {
                std::invalid_argument);
   EXPECT_THROW(compare_lab_trend(gate_document(), "{\"bench\": \"x\"}"),
                std::invalid_argument);
+  // The strict reader: no trailing content, a number must convert in full,
+  // a row may not repeat a key, and the bench tag must be complexity_lab.
+  const std::string doc = gate_document();
+  for (const std::string& bad : {
+           doc + "}}} garbage [",
+           doctor(doc, "rounds_median", "4-7"),
+           doctor(doc, "m", "12, \"m\": 99"),
+           doctor(doc, "bench", "\"engine_metrics\""),
+       }) {
+    EXPECT_THROW(compare_lab_trend(doc, bad), std::invalid_argument);
+    EXPECT_THROW(compare_lab_trend(bad, doc), std::invalid_argument);
+  }
   // A valid document with no meta row is an error, not a crash.
   const TrendReport rep = compare_lab_trend(
       "{\"bench\": \"complexity_lab\", \"rows\": []}", gate_document());

@@ -59,36 +59,6 @@ TEST(Metrics, RegistryAccumulatesCountersSortedByName) {
   EXPECT_EQ(snap.counters[1].second, 5u);
 }
 
-TEST(Metrics, JsonRoundTripsThroughItsOwnValidator) {
-  MetricsRegistry reg;
-  reg.sample_round(10, 5, 20, 40);
-  reg.sample_round(8, 3, 12, 24);
-  reg.counter("engine.messages", 123);
-  reg.counter("arq.retransmissions", 4);
-  const std::string doc = metrics_json(reg.snapshot());
-  std::string err;
-  EXPECT_TRUE(validate_metrics_json(doc, &err)) << err;
-  // The schema is strict, not decorative: corruptions are caught.
-  std::string wrong_tag = doc;
-  wrong_tag.replace(wrong_tag.find("engine_metrics"), 14, "engine_MUTATED");
-  EXPECT_FALSE(validate_metrics_json(wrong_tag, &err));
-  std::string unknown_field = doc;
-  unknown_field.replace(unknown_field.find("\"samples\""), 9, "\"smuggle\"");
-  EXPECT_FALSE(validate_metrics_json(unknown_field, &err));
-  EXPECT_FALSE(validate_metrics_json(doc + "x", &err));  // trailing garbage
-  EXPECT_FALSE(validate_metrics_json("", &err));
-}
-
-TEST(Metrics, EmptySnapshotStillValidates) {
-  // A run with metrics on but zero rounds and zero counters must still emit
-  // schema-valid JSON (the validator requires the four gauge rows, which
-  // exist with samples = 0).
-  MetricsRegistry reg;
-  std::string err;
-  EXPECT_TRUE(validate_metrics_json(metrics_json(reg.snapshot()), &err))
-      << err;
-}
-
 /// Adversarial flood-max through the ARQ wrapper on K_16: exercises every
 /// counter family (engine.*, adversary.*, arq.*) and both fault-recovery
 /// paths, while still electing a leader.
@@ -105,6 +75,181 @@ ElectionReport metered_run(unsigned threads, bool metrics) {
   opt.metrics.enabled = metrics;
   ReliableConfig rcfg;
   return run_election(g, make_reliable(make_flood_max(), rcfg), opt);
+}
+
+/// metrics_json of a fixed two-round registry, pinned byte for byte.  The
+/// validator corpus below is built from these bytes.
+const std::string kGoldenSnapshot =
+    "{\n"
+    "  \"bench\": \"engine_metrics\",\n"
+    "  \"rows\": [\n"
+    "    {\"kind\": \"gauge\", \"name\": \"active_set\", \"samples\": 2, "
+    "\"last\": 8, \"max\": 10, \"total\": 18},\n"
+    "    {\"kind\": \"gauge\", \"name\": \"wake_heap\", \"samples\": 2, "
+    "\"last\": 3, \"max\": 5, \"total\": 8},\n"
+    "    {\"kind\": \"gauge\", \"name\": \"inbox_csr\", \"samples\": 2, "
+    "\"last\": 12, \"max\": 20, \"total\": 32},\n"
+    "    {\"kind\": \"gauge\", \"name\": \"outbox_arena\", \"samples\": 2, "
+    "\"last\": 24, \"max\": 40, \"total\": 64},\n"
+    "    {\"kind\": \"counter\", \"name\": \"arq.retransmissions\", "
+    "\"value\": 4},\n"
+    "    {\"kind\": \"counter\", \"name\": \"engine.messages\", "
+    "\"value\": 123}\n"
+    "  ]\n"
+    "}\n";
+
+/// `doc` with the first occurrence of `from` replaced by `to`.
+std::string mutate(std::string doc, const std::string& from,
+                   const std::string& to) {
+  const std::size_t at = doc.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return doc.replace(at, from.size(), to);
+}
+
+std::string replace_all(std::string doc, const std::string& from,
+                        const std::string& to) {
+  for (std::size_t at = 0; (at = doc.find(from, at)) != std::string::npos;
+       at += to.size())
+    doc.replace(at, from.size(), to);
+  return doc;
+}
+
+TEST(Metrics, JsonRoundTripsThroughItsOwnValidator) {
+  MetricsRegistry reg;
+  reg.sample_round(10, 5, 20, 40);
+  reg.sample_round(8, 3, 12, 24);
+  reg.counter("engine.messages", 123);
+  reg.counter("arq.retransmissions", 4);
+  const std::string doc = metrics_json(reg.snapshot());
+  EXPECT_EQ(doc, kGoldenSnapshot);
+
+  // The golden corpus of the schema gate: bytes -> verdict.  Every verdict
+  // was recorded from the validator that predates the shared bench-document
+  // reader; `changed` marks the only two that differ — that validator
+  // counted field occurrences, so a repeated key could stand in for a
+  // missing one or silently overwrite the first.
+  struct Case {
+    std::string what;
+    std::string bytes;
+    bool valid;
+    bool changed = false;
+  };
+  const std::string gauge_row =
+      "{\"kind\": \"gauge\", \"name\": \"active_set\", \"samples\": 2, "
+      "\"last\": 8, \"max\": 10, \"total\": 18}";
+  const std::string messages_row =
+      "{\"kind\": \"counter\", \"name\": \"engine.messages\", \"value\": 123}";
+  std::vector<Case> corpus = {
+      // Writer outputs.
+      {"golden snapshot", doc, true},
+      {"empty snapshot", metrics_json(MetricsSnapshot{}), true},
+      {"adversarial reliable run", metrics_json(*metered_run(1, true).run.metrics),
+       true},
+      // Whitespace and bytes the grammar allows.
+      {"form feeds between tokens", replace_all(doc, ", ", ",\f"), true},
+      {"CRLF line ends", replace_all(doc, "\n", "\r\n"), true},
+      {"leading and trailing whitespace", " \t\n" + doc + "\n\v ", true},
+      {"backslash inside a name",
+       mutate(doc, "engine.messages", "engine\\messages"), true},
+      {"fields reordered within a row",
+       mutate(doc, gauge_row,
+              "{\"total\": 18, \"max\": 10, \"last\": 8, \"samples\": 2, "
+              "\"name\": \"active_set\", \"kind\": \"gauge\"}"),
+       true},
+      {"leading zeros in a counter", mutate(doc, "\"value\": 4}", "\"value\": 004}"),
+       true},
+      // Schema rejects.
+      {"wrong bench tag", mutate(doc, "engine_metrics", "engine_MUTATED"), false},
+      {"unknown field", mutate(doc, "\"samples\"", "\"smuggle\""), false},
+      {"value 1.0", mutate(doc, "\"value\": 4}", "\"value\": 1.0}"), false},
+      {"value -1", mutate(doc, "\"value\": 4}", "\"value\": -1}"), false},
+      {"value true", mutate(doc, "\"value\": 4}", "\"value\": true}"), false},
+      {"value 1e3", mutate(doc, "\"value\": 4}", "\"value\": 1e3}"), false},
+      {"value +5", mutate(doc, "\"value\": 4}", "\"value\": +5}"), false},
+      {"quoted value", mutate(doc, "\"value\": 4}", "\"value\": \"4\"}"), false},
+      {"quoted samples", mutate(doc, "\"samples\": 2,", "\"samples\": \"2\","),
+       false},
+      {"empty rows", "{\"bench\": \"engine_metrics\", \"rows\": []}", false},
+      {"unsorted counters",
+       mutate(mutate(doc, "arq.retransmissions", "zzz.placeholder"),
+              "engine.messages", "arq.retransmissions"),
+       false},
+      {"missing gauge",
+       mutate(doc,
+              "    {\"kind\": \"gauge\", \"name\": \"wake_heap\", \"samples\": "
+              "2, \"last\": 3, \"max\": 5, \"total\": 8},\n",
+              ""),
+       false},
+      {"duplicated gauge row", mutate(doc, gauge_row, gauge_row + ", " + gauge_row),
+       false},
+      {"unknown gauge", mutate(doc, "\"wake_heap\"", "\"heap\""), false},
+      {"gauge missing a stat",
+       mutate(doc, gauge_row,
+              "{\"kind\": \"gauge\", \"name\": \"active_set\", \"samples\": 2, "
+              "\"last\": 8, \"max\": 10}"),
+       false},
+      {"counter carrying a stat",
+       mutate(doc, messages_row,
+              "{\"kind\": \"counter\", \"name\": \"engine.messages\", "
+              "\"value\": 123, \"max\": 1}"),
+       false},
+      {"unknown row kind", mutate(doc, "\"kind\": \"counter\"", "\"kind\": \"histogram\""),
+       false},
+      {"unquoted kind", mutate(doc, "\"kind\": \"counter\"", "\"kind\": counter"),
+       false},
+      {"row without a name",
+       mutate(doc, messages_row, "{\"kind\": \"counter\", \"value\": 123}"), false},
+      // Grammar rejects.
+      {"trailing garbage", doc + "x", false},
+      {"empty document", "", false},
+      {"trailing comma in rows", mutate(doc, "123}\n", "123},\n"), false},
+      {"top-level key after rows", mutate(doc, "  ]\n}", "  ], \"extra\": 1\n}"),
+       false},
+      {"rows before bench",
+       "{\"rows\": [], \"bench\": \"engine_metrics\"}", false},
+      {"nested value", mutate(doc, "\"value\": 4}", "\"value\": {}}"), false},
+      // A repeated key: the duplicate "samples" hides the missing "total",
+      // and a second "name" overwrote the first.
+      {"repeated samples instead of total",
+       mutate(doc, gauge_row,
+              "{\"kind\": \"gauge\", \"name\": \"active_set\", \"samples\": 1, "
+              "\"last\": 1, \"max\": 1, \"samples\": 1}"),
+       false, true},
+      {"repeated name",
+       mutate(doc, messages_row,
+              "{\"kind\": \"counter\", \"name\": \"b.first\", \"name\": "
+              "\"engine.messages\", \"value\": 123}"),
+       false, true},
+  };
+  // Every proper prefix up to the closing brace is a truncated document.
+  const std::size_t close = doc.rfind('}');
+  for (std::size_t len = 0; len < close; ++len)
+    corpus.push_back({"prefix of " + std::to_string(len) + " bytes",
+                      doc.substr(0, len), false});
+  corpus.push_back({"prefix through the closing brace", doc.substr(0, close + 1),
+                    true});
+
+  std::size_t changed = 0;
+  for (const Case& c : corpus) {
+    std::string err;
+    EXPECT_EQ(validate_metrics_json(c.bytes, &err), c.valid)
+        << c.what << " (" << err << ")\n" << c.bytes;
+    if (!c.valid) {
+      EXPECT_FALSE(err.empty()) << c.what;
+    }
+    changed += c.changed ? 1 : 0;
+  }
+  EXPECT_EQ(changed, 2u);
+}
+
+TEST(Metrics, EmptySnapshotStillValidates) {
+  // A run with metrics on but zero rounds and zero counters must still emit
+  // schema-valid JSON (the validator requires the four gauge rows, which
+  // exist with samples = 0).
+  MetricsRegistry reg;
+  std::string err;
+  EXPECT_TRUE(validate_metrics_json(metrics_json(reg.snapshot()), &err))
+      << err;
 }
 
 TEST(Metrics, SnapshotsAreBitForBitIdenticalAcrossThreadCounts) {

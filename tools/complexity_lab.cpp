@@ -56,6 +56,7 @@
 #include <string>
 #include <vector>
 
+#include "json/bench_doc.hpp"
 #include "lab/campaign.hpp"
 #include "lab/report.hpp"
 #include "lab/trend.hpp"
@@ -193,7 +194,7 @@ int main(int argc, char** argv) {
   if (!validate_metrics_path.empty()) {
     try {
       std::string err;
-      if (validate_metrics_json(lab::read_text_file(validate_metrics_path),
+      if (validate_metrics_json(json::read_text_file(validate_metrics_path),
                                 &err)) {
         std::printf("metrics snapshot OK: %s\n",
                     validate_metrics_path.c_str());
@@ -211,8 +212,8 @@ int main(int argc, char** argv) {
   if (trend) {
     try {
       const lab::TrendReport rep = lab::compare_lab_trend(
-          lab::read_text_file(trend_baseline),
-          lab::read_text_file(trend_current), trend_cfg);
+          json::read_text_file(trend_baseline),
+          json::read_text_file(trend_current), trend_cfg);
       for (const std::string& n : rep.notes)
         std::printf("note:  %s\n", n.c_str());
       for (const std::string& e : rep.errors)
@@ -264,11 +265,11 @@ int main(int argc, char** argv) {
 
   try {
     if (write_json) {
-      lab::write_text_file(out_json, lab::bench_json(res));
+      json::write_text_file(out_json, lab::bench_json(res));
       std::printf("\nwrote %s\n", out_json.c_str());
     }
     if (write_md) {
-      lab::write_text_file(out_md, lab::complexity_markdown(res));
+      json::write_text_file(out_md, lab::complexity_markdown(res));
       std::printf("wrote %s\n", out_md.c_str());
     }
   } catch (const std::runtime_error& e) {

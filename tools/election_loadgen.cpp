@@ -17,11 +17,12 @@
 //   election_loadgen --json FILE                report path (BENCH_serve.json)
 //
 // Writes sustained jobs/sec and p50/p95/p99 submit->result latency to
-// BENCH_serve.json (bench::JsonReport convention; see ROADMAP.md).  Exits
-// nonzero on any counter mismatch, job error, or transport failure.
+// BENCH_serve.json (a json/bench_doc.hpp bench document).  Exits nonzero on
+// any counter mismatch, job error, transport failure, or report write error.
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -31,7 +32,7 @@
 #include <thread>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "json/bench_doc.hpp"
 #include "net/rng.hpp"
 #include "scenario/fuzzer.hpp"
 #include "scenario/registry.hpp"
@@ -51,6 +52,12 @@ struct SessionResult {
   std::vector<double> latencies_ms;
   std::string first_failure;  // one diagnostic is enough to act on
 };
+
+double ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
 double percentile(std::vector<double>& sorted, double p) {
   if (sorted.empty()) return 0;
@@ -101,7 +108,7 @@ void run_session(const std::string& host, std::uint16_t port,
                       kAdversaryFraction, "", kChurnFraction);
     const std::string token = s.encode();
     try {
-      bench::WallTimer timer;
+      const auto t0 = std::chrono::steady_clock::now();
       const auto sub = client.submit_token(token, /*tag=*/j);
       if (!sub.accepted) {
         // Backpressure: the daemon said "come back later".  Count it and
@@ -111,7 +118,7 @@ void run_session(const std::string& host, std::uint16_t port,
         continue;
       }
       const auto reply = client.await_result(sub.job_id);
-      const double ms = timer.elapsed_ms();
+      const double ms = ms_since(t0);
       if (!reply.ok) {
         ++out.errors;
         if (out.first_failure.empty())
@@ -224,7 +231,7 @@ int main(int argc, char** argv) {
   std::vector<SessionResult> results(sessions);
   std::vector<std::thread> threads;
   threads.reserve(sessions);
-  bench::WallTimer wall;
+  const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < sessions; ++i) {
     threads.emplace_back([&, i] {
       run_session(host, port, seed + 0x9E3779B9ULL * (i + 1), jobs_per_session,
@@ -232,7 +239,7 @@ int main(int argc, char** argv) {
     });
   }
   for (auto& t : threads) t.join();
-  const double wall_ms = wall.elapsed_ms();
+  const double wall_ms = ms_since(t0);
 
   std::size_t done = 0, mismatches = 0, errors = 0;
   std::vector<double> latencies;
@@ -266,7 +273,7 @@ int main(int argc, char** argv) {
     if (health != 200) ++errors;
   }
 
-  bench::JsonReport report("serve_loadgen");
+  json::JsonReport report("serve_loadgen");
   report.add_row()
       .set("sessions", static_cast<std::uint64_t>(sessions))
       .set("jobs_per_session", static_cast<std::uint64_t>(jobs_per_session))
@@ -279,8 +286,13 @@ int main(int argc, char** argv) {
       .set("replay_checked", check)
       .set("mismatches", static_cast<std::uint64_t>(mismatches))
       .set("errors", static_cast<std::uint64_t>(errors));
-  report.write(json_path);
-  std::printf("wrote %s\n", json_path.c_str());
+  try {
+    report.write(json_path);
+    std::printf("wrote %s\n", json_path.c_str());
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    ++errors;
+  }
 
   if (self_hosted) {
     self_hosted->request_shutdown();
