@@ -61,7 +61,6 @@ class ClusteringProcess final : public Process {
   bool is_candidate() const { return candidate_; }
   std::uint64_t cluster() const { return cluster_; }
   std::size_t final_intergraph_size() const { return down_entries_.size(); }
-  bool phase3_started() const { return phase3_; }
 
  private:
   /// A surviving inter-cluster edge: its name and the foreign cluster.

@@ -56,8 +56,6 @@ class DfsElectionProcess final : public Process {
   void on_wake(Context& ctx, std::span<const Envelope> inbox) override;
   void on_round(Context& ctx, std::span<const Envelope> inbox) override;
 
-  Uid min_seen() const { return min_seen_; }
-
  private:
   enum class StepMode : std::uint8_t { Explore, BounceBack };
 

@@ -28,7 +28,6 @@ ElectionReport run_election(const Graph& g, const ProcessFactory& factory,
   cfg.max_rounds = opt.max_rounds;
   cfg.congest = opt.congest;
   cfg.watch_edges = opt.watch_edges;
-  cfg.record_edge_traffic = opt.record_edge_traffic;
   cfg.threads = opt.threads;
   if (opt.parallel_cutoff != 0) cfg.parallel_cutoff = opt.parallel_cutoff;
   cfg.adversary = opt.adversary;

@@ -45,7 +45,6 @@ struct RunOptions {
   Round max_rounds = 50'000'000;
   CongestMode congest = CongestMode::Count;
   std::vector<EdgeId> watch_edges;
-  bool record_edge_traffic = false;
   /// Worker threads for round execution (EngineConfig::threads): 1 =
   /// sequential, 0 = hardware concurrency.  Outcomes are identical at every
   /// setting; only wall-clock changes.

@@ -87,7 +87,6 @@ class KingdomProcess final : public Process {
 
   // Instrumentation.
   std::uint32_t phases_played() const { return my_phase_; }
-  bool still_live() const { return live_; }
 
  private:
   enum class Answer : std::uint8_t { Joined, Same, Refused, Defected };

@@ -101,7 +101,6 @@ void SublinearCompleteProcess::on_round(Context& ctx,
   std::vector<PortId> query_ports;
   for (const auto& env : inbox) {
     if (!is_sublinear(env) || (env.flat.flags & kVerdictFlag)) continue;
-    ++queries_seen_;
     query_ports.push_back(env.port);
     if (std::pair(env.flat.a, env.flat.b) > std::pair(best_rank, best_tb)) {
       best_rank = env.flat.a;

@@ -59,8 +59,6 @@ class SublinearCompleteProcess final : public Process {
 
   // Instrumentation.
   bool is_candidate() const { return candidate_; }
-  std::size_t referees_contacted() const { return expected_verdicts_; }
-  std::size_t queries_refereed() const { return queries_seen_; }
 
  private:
   SublinearConfig cfg_;
@@ -70,7 +68,6 @@ class SublinearCompleteProcess final : public Process {
   std::uint64_t tiebreak_ = 0;
   std::size_t expected_verdicts_ = 0;
   std::size_t verdicts_seen_ = 0;
-  std::size_t queries_seen_ = 0;
   bool lost_ = false;
 };
 

@@ -88,8 +88,6 @@ SyncEngine::SyncEngine(const Graph& g, EngineConfig cfg)
   sent_by_node_.assign(n, 0);
   for (NodeId s = 0; s < n; ++s) nodes_[s].rng = node_rng(cfg_.seed, s);
 
-  if (cfg_.record_edge_traffic) edge_traffic_.assign(graph_.m(), 0);
-
   if (!cfg_.watch_edges.empty()) {
     watch_index_.assign(graph_.m(), 0);
     for (EdgeId e : cfg_.watch_edges) {
@@ -107,7 +105,6 @@ SyncEngine::SyncEngine(const Graph& g, EngineConfig cfg)
 
   congest_on_ = cfg_.congest != CongestMode::Off;
   tracing_ = cfg_.trace_limit > 0;
-  traffic_on_ = cfg_.record_edge_traffic;
   watching_ = !cfg_.watch_edges.empty();
   metrics_on_ = cfg_.metrics.enabled;
 
@@ -158,10 +155,9 @@ SyncEngine::SyncEngine(const Graph& g, EngineConfig cfg)
   threads_ = cfg_.threads != 0
                  ? cfg_.threads
                  : std::max(1u, std::thread::hardware_concurrency());
-  // Tracing, edge traffic and edge watches record *global send order* (or
-  // race on per-edge counters shared by both endpoints); runs using them
+  // Tracing and edge watches record *global send order*; runs using them
   // stay sequential regardless of the thread setting.
-  parallel_ok_ = threads_ > 1 && !tracing_ && !traffic_on_ && !watching_;
+  parallel_ok_ = threads_ > 1 && !tracing_ && !watching_;
   lanes_.resize(parallel_ok_ ? threads_ : 1);
 }
 
@@ -242,7 +238,6 @@ const Graph::HalfEdge& SyncEngine::account_send(SendLane& lane, NodeId from,
   ++lane.messages;
   lane.bits += msg.bits;
   ++sent_by_node_[from];
-  if (traffic_on_) [[unlikely]] ++edge_traffic_[he.edge];
   if (watching_) [[unlikely]] {
     if (const std::uint32_t wi = watch_index_[he.edge]; wi != 0) {
       WatchReport& w = watch_reports_[wi - 1];
@@ -287,11 +282,13 @@ void SyncEngine::adv_enqueue(SendLane& lane, NodeId from,
       (adv.duplicate > 0.0 && coin.bernoulli(adv.duplicate)) ? 2 : 1;
   if (copies == 2) ++lane.adv_dups;
   for (int c = 0; c < copies; ++c) {
-    lane.out.push_back(OutboundEnvelope{he.to, he.rev, he.edge, msg, link});
-    if (delays_on_) {
-      const Round extra = coin.below(adv.max_delay + 1);
-      lane.adv_arrive.push_back(round_ + 1 + extra);
-      if (extra > 0) ++lane.adv_delays;
+    const OutboundEnvelope env{he.to, he.rev, he.edge, msg, link};
+    const Round extra = delays_on_ ? coin.below(adv.max_delay + 1) : 0;
+    if (extra > 0) {
+      ++lane.adv_delays;
+      lane.parked.push_back(ParkedEnvelope{round_ + 1 + extra, env});
+    } else {
+      lane.out.push_back(env);
     }
   }
 }
@@ -300,22 +297,29 @@ void SyncEngine::deliver_round() {
   // Reset the previous round's buckets (only the nodes that had one).
   for (const NodeId s : dirty_) inbox_len_[s] = 0;
   dirty_.clear();
+  // Quiescent fast path: without delays every in-flight envelope sits in a
+  // lane, and a sequential run has only lane 0.
+  if (!delays_on_ && lanes_.size() == 1 && lanes_[0].out.empty()) return;
+  // The sources, in inbox order: the delay-ring slot due this round (delay
+  // runs only — older sends first, in park order), then every lane's on-time
+  // sends in lane order, which is the send order (shards are contiguous slot
+  // ranges executed in ascending lane order).
+  sources_.clear();
   if (delays_on_) [[unlikely]] {
-    deliver_round_delayed();
-    return;
+    std::vector<OutboundEnvelope>& due =
+        delay_ring_[round_ % delay_ring_.size()];
+    pending_count_ -= due.size();
+    sources_.push_back(&due);
   }
-  // Quiescent fast path: a sequential round's sends all live in lane 0.
-  if (lanes_.size() == 1 && lanes_[0].out.empty()) return;
+  for (SendLane& lane : lanes_) sources_.push_back(&lane.out);
   std::size_t total = 0;
-  for (const SendLane& lane : lanes_) total += lane.out.size();
-  if (total == 0) return;
+  for (const auto* src : sources_) total += src->size();
 
-  // Stable counting-bucket by destination: count, prefix, scatter.  Lanes
-  // are scanned in lane order, which is the send order (shards are
-  // contiguous slot ranges executed in ascending lane order), so each
-  // node's inbox order is identical to a sequential execution.
-  for (const SendLane& lane : lanes_) {
-    for (const OutboundEnvelope& f : lane.out) {
+  // Stable counting-bucket by destination: count, prefix, scatter.
+  // Scanning the sources in order makes each node's inbox order identical
+  // to a sequential execution.
+  for (const auto* src : sources_) {
+    for (const OutboundEnvelope& f : *src) {
       if (inbox_len_[f.to]++ == 0) dirty_.push_back(f.to);
     }
   }
@@ -329,22 +333,23 @@ void SyncEngine::deliver_round() {
 
   if (parallel_ok_ && total >= 16 * cfg_.parallel_cutoff) {
     // Parallel scatter: a sequential addressing pass fixes every envelope's
-    // delivery slot (send order per destination), then workers move disjoint
-    // contiguous chunks of the envelope sequence — fully deterministic.
+    // delivery slot (source order per destination), then workers move
+    // disjoint contiguous chunks of the envelope sequence — fully
+    // deterministic.
     scatter_pos_.resize(total);
     std::size_t i = 0;
-    for (const SendLane& lane : lanes_) {
-      for (const OutboundEnvelope& f : lane.out)
+    for (const auto* src : sources_) {
+      for (const OutboundEnvelope& f : *src)
         scatter_pos_[i++] = inbox_off_[f.to] + inbox_len_[f.to]++;
     }
     ensure_pool().run([this, total](unsigned w) {
       auto [lo, hi] = shard_range(w, total);
-      // Walk the lanes to the w-th chunk of the global envelope sequence.
+      // Walk the sources to the w-th chunk of the global envelope sequence.
       std::size_t base = 0;
-      for (SendLane& lane : lanes_) {
-        const std::size_t sz = lane.out.size();
+      for (const auto* src : sources_) {
+        const std::size_t sz = src->size();
         while (lo < hi && lo < base + sz) {
-          const OutboundEnvelope& f = lane.out[lo - base];
+          const OutboundEnvelope& f = (*src)[lo - base];
           delivery_[scatter_pos_[lo]] = Envelope{f.at_port, f.flat, f.link};
           ++lo;
         }
@@ -352,69 +357,29 @@ void SyncEngine::deliver_round() {
         if (lo >= hi) break;
       }
     });
-    for (SendLane& lane : lanes_) lane.out.clear();
   } else {
-    for (SendLane& lane : lanes_) {
-      for (const OutboundEnvelope& f : lane.out) {
+    for (const auto* src : sources_) {
+      for (const OutboundEnvelope& f : *src) {
         delivery_[inbox_off_[f.to] + inbox_len_[f.to]++] =
             Envelope{f.at_port, f.flat, f.link};
       }
-      lane.out.clear();
     }
   }
-}
+  for (auto* src : sources_) src->clear();
 
-void SyncEngine::deliver_round_delayed() {
-  const std::size_t W = delay_ring_.size();
-  // Envelopes parked for this round deliver FIRST: they were sent in earlier
-  // rounds, and older sends precede this round's on-time sends.  The ring
-  // slot holds them in park order, which is global send order (lane order at
-  // the round that parked them).
-  adv_due_.clear();
-  std::vector<OutboundEnvelope>& due_slot = delay_ring_[round_ % W];
-  if (!due_slot.empty()) {
-    pending_count_ -= due_slot.size();
-    adv_due_.insert(adv_due_.end(), due_slot.begin(), due_slot.end());
-    due_slot.clear();
-  }
-  // Route last round's fresh sends (lane order = send order) by their drawn
-  // arrival round: due now, or parked for a future slot.  Live arrivals span
-  // rounds (round_, round_ + W], exactly W values, so slots never mix rounds
-  // and the slot drained above can be re-filled only with arrivals W rounds
-  // out.
-  for (SendLane& lane : lanes_) {
-    for (std::size_t i = 0; i < lane.out.size(); ++i) {
-      if (lane.adv_arrive[i] <= round_) {
-        adv_due_.push_back(lane.out[i]);
-      } else {
-        delay_ring_[lane.adv_arrive[i] % W].push_back(lane.out[i]);
-        ++pending_count_;
-      }
+  if (delays_on_) [[unlikely]] {
+    // Last round's held-back sends join their ring slots.  Their arrivals
+    // lie in (round_, round_ + max_delay], so none lands in the slot just
+    // drained, and appending in lane order keeps every slot in global send
+    // order.
+    const std::size_t W = delay_ring_.size();
+    for (SendLane& lane : lanes_) {
+      for (const ParkedEnvelope& p : lane.parked)
+        delay_ring_[p.arrive % W].push_back(p.env);
+      pending_count_ += lane.parked.size();
+      lane.parked.clear();
     }
-    lane.out.clear();
-    lane.adv_arrive.clear();
   }
-  if (adv_due_.empty()) return;
-
-  // Sequential CSR bucketing of the due set — identical to the fault-free
-  // pass, minus the parallel scatter (adversarial delivery volume per round
-  // is a fraction of the fault-free case; keeping it sequential keeps the
-  // ordering argument trivial).
-  for (const OutboundEnvelope& f : adv_due_) {
-    if (inbox_len_[f.to]++ == 0) dirty_.push_back(f.to);
-  }
-  std::uint32_t cursor = 0;
-  for (const NodeId s : dirty_) {
-    inbox_off_[s] = cursor;
-    cursor += inbox_len_[s];
-    inbox_len_[s] = 0;  // reused as the fill cursor during the scatter
-  }
-  delivery_.resize(adv_due_.size());
-  for (const OutboundEnvelope& f : adv_due_) {
-    delivery_[inbox_off_[f.to] + inbox_len_[f.to]++] =
-        Envelope{f.at_port, f.flat, f.link};
-  }
-  adv_due_.clear();
 }
 
 void SyncEngine::apply_reorder() {
@@ -706,12 +671,13 @@ RunResult SyncEngine::run() {
     // lazily deleted entries — heap content is identical at every thread
     // count), this round's CSR inbox occupancy (dirty_ still indexes this
     // round's deliveries; deliver_round resets it next round), and the lane
-    // outboxes holding this round's post-adversary sends.
+    // outboxes holding this round's post-adversary sends, on time or parked.
     if (metrics_on_) [[unlikely]] {
       std::uint64_t inbox = 0;
       for (const NodeId s : dirty_) inbox += inbox_len_[s];
       std::uint64_t outbox = 0;
-      for (const SendLane& lane : lanes_) outbox += lane.out.size();
+      for (const SendLane& lane : lanes_)
+        outbox += lane.out.size() + lane.parked.size();
       metrics_.sample_round(runnable.size(), wake_heap_.size(), inbox, outbox);
     }
 

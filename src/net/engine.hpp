@@ -49,23 +49,25 @@
 // disjoint contiguous chunks.  Rounds below EngineConfig::parallel_cutoff
 // runnable nodes stay on the sequential fast path (pool dispatch costs a few
 // microseconds; a quiescent ring round costs ~16 ns), as do runs with
-// order-dependent instrumentation (tracing, edge traffic, edge watches).
+// order-dependent instrumentation (tracing, edge watches).
 //
 // ADVERSARY (EngineConfig::adversary, net/adversary.hpp): a seeded oblivious
 // adversary can delay (bounded), drop, duplicate and reorder messages and
 // crash nodes — forever (crash-stop) or for a bounded churn interval, after
 // which the node is reborn from its initial state (fresh process, same ID,
-// inbox purged, wake-heap re-entry).  Delayed envelopes park in a small ring of future-arrival
-// buckets and re-enter the normal CSR delivery machinery in their arrival
-// round; every adverse coin is a pure function of (adversary seed, sender,
-// edge, send index), so adversarial runs are bit-for-bit identical at every
-// thread count.  With the adversary off (the default) the engine runs the
-// exact fault-free hot path — no adversary state is allocated or touched.
+// inbox purged, wake-heap re-entry).  A copy drawn a positive delay parks in
+// its sender's lane, moves into a small ring of future-arrival buckets at the
+// next delivery, and in its arrival round the due ring slot drains ahead of
+// the lanes through the same CSR bucket pass (parallel scatter included).
+// Every adverse coin is a pure function of (adversary seed, sender, edge,
+// send index), so adversarial runs are bit-for-bit identical at every thread
+// count.  With the adversary off (the default) the engine runs the exact
+// fault-free hot path — no adversary state is allocated or touched.
 //
-// Instrumentation: total messages and bits, per-node send counts, optional
-// per-edge traffic, and *edge watches* — per-edge records of the first round
-// a message crossed, used to operationalize the bridge-crossing (BC) problem
-// from the Theorem 3.1 lower-bound proof.
+// Instrumentation: total messages and bits, per-node send counts, and *edge
+// watches* — per-edge records of the first round a message crossed, used to
+// operationalize the bridge-crossing (BC) problem from the Theorem 3.1
+// lower-bound proof.
 
 #pragma once
 
@@ -111,7 +113,6 @@ struct EngineConfig {
   /// bits; our wire format sizes them at 64 bits uniformly).
   std::uint32_t congest_bits = 0;
   bool fast_forward = true;
-  bool record_edge_traffic = false;
   /// Record up to this many TraceEvents (0 = tracing off).  Wakes, sends
   /// (with payload debug strings) and status changes, in execution order —
   /// the round-by-round story of a run, for debugging and teaching.
@@ -138,10 +139,9 @@ struct EngineConfig {
   /// The CSR scatter pass parallelizes at 16x this many delivered envelopes.
   std::size_t parallel_cutoff = 192;
   /// Seeded delivery/fault adversary (net/adversary.hpp).  Default = off: the
-  /// engine takes the exact fault-free hot path.  Adversarial delivery (the
-  /// delay ring and the CSR bucket pass it feeds) is sequential; node stepping
-  /// still parallelizes, and adversarial runs stay bit-for-bit identical at
-  /// every thread count because every adverse coin is keyed by
+  /// engine takes the exact fault-free hot path.  Adversarial rounds step and
+  /// scatter on the worker pool like clean ones, and stay bit-for-bit
+  /// identical at every thread count because every adverse coin is keyed by
   /// (adversary.seed, sender, edge, send index), never by execution order.
   AdversaryConfig adversary;
   /// Engine telemetry (net/metrics.hpp).  Default = off, with the same
@@ -391,8 +391,6 @@ class SyncEngine {
   const RunResult& result() const { return result_; }
   std::uint64_t messages_sent() const { return result_.messages; }
   const std::vector<std::uint64_t>& sent_by_node() const { return sent_by_node_; }
-  /// Requires cfg.record_edge_traffic.
-  const std::vector<std::uint64_t>& edge_traffic() const { return edge_traffic_; }
   const std::vector<WatchReport>& watch_reports() const { return watch_reports_; }
   /// Requires cfg.record_message_timeline.
   const std::vector<std::pair<Round, std::uint64_t>>& message_timeline() const {
@@ -466,18 +464,16 @@ class SyncEngine {
                : std::span<const Envelope>{};
   }
 
-  /// Bucket last round's lane outboxes (in lane order = send order) by
-  /// destination into the CSR delivery buffer; fills dirty_ (receivers this
-  /// round, in first-delivery order).  Clears the previous round's buckets
-  /// first.  The scatter runs on the worker pool above the cutoff.
+  /// Bucket this round's sources — the due delay-ring slot, then last
+  /// round's lane outboxes in lane order (= send order) — by destination into
+  /// the CSR delivery buffer; fills dirty_ (receivers this round, in
+  /// first-delivery order).  Clears the previous round's buckets first.  The
+  /// scatter runs on the worker pool above the cutoff.  Afterwards the
+  /// lanes' parked envelopes move into their ring slots.
   void deliver_round();
-  /// Adversarial-delay delivery: drain the ring slot due this round, then
-  /// route fresh lane envelopes by their drawn arrival round (due now vs.
-  /// back into the ring), and CSR-bucket the due set sequentially.  Delayed
-  /// envelopes ride the same dirty_/CSR machinery downstream.
-  void deliver_round_delayed();
   /// Adversary hook inside do_send (send_faults_on_ only): roll drop /
-  /// duplicate / delay coins and append the surviving envelope copies.
+  /// duplicate / delay coins and append each surviving copy to the lane's
+  /// `out`, or to its `parked` list when drawn a positive delay.
   void adv_enqueue(SendLane& lane, NodeId from, const Graph::HalfEdge& he,
                    const FlatMsg& msg, const LinkHeader& link);
   /// Seeded per-receiver inbox shuffles (reorder_on_ only), applied after
@@ -522,6 +518,8 @@ class SyncEngine {
   bool parallel_ok_ = false;    // threads_>1 and no order-dependent instr.
   std::unique_ptr<WorkerPool> pool_;            // spawned on first dense round
   std::vector<std::uint32_t> scatter_pos_;      // per-envelope delivery slot
+  // deliver_round's bucket sources, in inbox order (due ring slot, lanes).
+  std::vector<std::vector<OutboundEnvelope>*> sources_;
 
   // CSR delivery buffer: envelopes of the current round, bucketed by
   // destination.  Node s's inbox is delivery_[inbox_off_[s] ..
@@ -542,7 +540,6 @@ class SyncEngine {
   // Hot-path branch hints, precomputed once (satellite: keep do_send lean).
   bool congest_on_ = false;
   bool tracing_ = false;
-  bool traffic_on_ = false;
   bool watching_ = false;
 
   // Adversary state (net/adversary.hpp).  Every flag below is false — and
@@ -558,7 +555,6 @@ class SyncEngine {
   /// global send order, which makes delayed delivery deterministic.
   std::vector<std::vector<OutboundEnvelope>> delay_ring_;
   std::size_t pending_count_ = 0;      // envelopes waiting in the ring
-  std::vector<OutboundEnvelope> adv_due_;  // staging: this round's arrivals
   /// One churn schedule entry: a crash or a rebirth of `node` at the start
   /// of round `at`.  The merged schedule is sorted by (at, rebirth-first) —
   /// at equal rounds recovery applies before crash, so chained intervals
@@ -592,7 +588,6 @@ class SyncEngine {
   std::vector<TraceEvent> trace_;
   bool trace_truncated_ = false;
   std::vector<std::uint64_t> sent_by_node_;
-  std::vector<std::uint64_t> edge_traffic_;
   std::vector<std::pair<Round, std::uint64_t>> message_timeline_;
   std::vector<WatchReport> watch_reports_;
   std::vector<std::uint32_t> watch_index_;     // edge -> index+1, 0 = none

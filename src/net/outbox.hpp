@@ -78,14 +78,21 @@ struct OutboundEnvelope {
 static_assert(std::is_trivially_copyable_v<OutboundEnvelope>);
 static_assert(sizeof(OutboundEnvelope) <= 64);
 
+/// An envelope the adversary held back: it arrives in round `arrive`, later
+/// than the round after its send.
+struct ParkedEnvelope {
+  Round arrive = 0;
+  OutboundEnvelope env;
+};
+
 /// One worker's private outbox arena and counter block (see file comment).
 /// Cache-line aligned so two workers' counter increments never share a line.
 struct alignas(64) SendLane {
-  std::vector<OutboundEnvelope> out;  ///< envelopes sent by this shard
-  /// Adversarial delays only (net/adversary.hpp, max_delay > 0): the absolute
-  /// arrival round of the envelope at the same index of `out`.  Stays empty —
-  /// zero bytes touched per send — on every other run.
-  std::vector<Round> adv_arrive;
+  std::vector<OutboundEnvelope> out;  ///< this shard's sends due next round
+  /// Adversarial delays only (net/adversary.hpp, max_delay > 0): this shard's
+  /// sends drawn a positive delay, in send order.  The engine moves them into
+  /// its delay ring at the next delivery.  Stays empty on every other run.
+  std::vector<ParkedEnvelope> parked;
   std::uint64_t messages = 0;
   std::uint64_t bits = 0;
   std::uint64_t congest_violations = 0;

@@ -16,11 +16,6 @@
 
 namespace ule {
 
-/// All nodes wake at round 0 (the default model).
-inline std::vector<Round> simultaneous_wakeup(std::size_t n) {
-  return std::vector<Round>(n, 0);
-}
-
 /// Random wake rounds in [0, spread]; node 0 forced awake at round 0 so the
 /// "at least one node initially awake" requirement holds.
 inline std::vector<Round> random_wakeup(std::size_t n, Round spread, Rng& rng) {

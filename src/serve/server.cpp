@@ -121,6 +121,7 @@ std::uint16_t bound_port(int fd) {
 
 constexpr std::size_t kMaxHttpRequest = 8192;
 constexpr std::size_t kMaxSessionOutbuf = 8u << 20;
+constexpr std::size_t kStreamChunk = 512;  ///< StreamChunk payload bytes
 
 struct Job {
   std::uint64_t id = 0;
@@ -430,10 +431,10 @@ struct ElectionServer::Impl {
     }
     if (c.have_snapshot) {
       const std::string doc = metrics_json(c.snapshot);
-      const std::size_t chunk = cfg.stream_chunk == 0 ? 512 : cfg.stream_chunk;
       std::uint64_t index = 0;
-      for (std::size_t pos = 0; pos < doc.size(); pos += chunk, ++index) {
-        const std::size_t len = std::min(chunk, doc.size() - pos);
+      for (std::size_t pos = 0; pos < doc.size();
+           pos += kStreamChunk, ++index) {
+        const std::size_t len = std::min(kStreamChunk, doc.size() - pos);
         const bool last = pos + len >= doc.size();
         queue_frame(*s, FrameType::StreamChunk, c.channel,
                     last ? kLastChunk : 0, c.id, c.tag, index,

@@ -49,7 +49,6 @@ struct ServeConfig {
   std::uint16_t http_port = 0;  ///< /metrics + /health port (0 = ephemeral)
   unsigned workers = 2;         ///< WorkerPool size executing jobs
   std::size_t queue_capacity = 256;  ///< bounded job queue (backpressure)
-  std::size_t stream_chunk = 512;    ///< StreamChunk payload bytes
   bool metrics = true;  ///< per-job engine telemetry, streamed + aggregated
 };
 

@@ -152,6 +152,18 @@ std::vector<Cell> matrix() {
   opt.adversary.drop = 0.10;
   add_adv("kingdom/cycle24+delay_drop", make_cycle(24), make_kingdom(), opt);
 
+  // Dense delayed rounds: with cutoff=1 they cross the 16x scatter threshold
+  // with envelopes both in the due ring slot and in the lanes, so the
+  // parallel scatter walks every kind of delivery source.  Plain flood_max
+  // is not safe under delays and duplicates; the ARQ wrapper makes it elect.
+  opt = RunOptions{};
+  opt.max_rounds = 5'000;
+  opt.adversary.seed = 0xDE1A;
+  opt.adversary.max_delay = 2;
+  opt.adversary.duplicate = 0.05;
+  add("flood_max_reliable/complete96+delay_dup", make_complete(96),
+      make_reliable(make_flood_max(), ReliableConfig{}), opt);
+
   opt = RunOptions{};
   opt.max_rounds = 5'000;
   opt.adversary.seed = 0xC4A5;
@@ -201,7 +213,9 @@ TEST(ParallelDeterminism, MatrixIdenticalAtEveryThreadCount) {
       opt.seed = seed;
       opt.threads = 1;
       const ElectionReport base = run_snapshot(cell.graph, cell.factory, opt);
-      if (cell.require_completed) ASSERT_TRUE(base.run.completed) << cell.name;
+      if (cell.require_completed) {
+        ASSERT_TRUE(base.run.completed) << cell.name;
+      }
       for (const unsigned t : kThreads) {
         opt.threads = t;
         opt.parallel_cutoff = 1;  // force even tiny rounds onto the pool

@@ -157,8 +157,9 @@ TEST(Adversary, DelayIsBoundedAndOlderArrivalsComeFirst) {
     EXPECT_LE(arrived, sent + 1 + cfg.adversary.max_delay);
     // Within one arrival round, messages delayed from earlier rounds are
     // delivered before fresher ones (the ring drains before the new lanes).
-    if (i > 0 && receiver->got[i - 1].first == arrived)
+    if (i > 0 && receiver->got[i - 1].first == arrived) {
       EXPECT_LE(Chatter::sent_round(receiver->got[i - 1].second), sent);
+    }
   }
 }
 
@@ -179,7 +180,9 @@ TEST(Adversary, CrashStopHaltsTheNodeMidRun) {
   // after round 3 (sends from rounds 0-2 still arrive one round later).
   const auto* neighbor = dynamic_cast<const Chatter*>(eng.process(1));
   for (const auto& [round, payload] : neighbor->got) {
-    if (payload / 1000 == 2) EXPECT_LT(Chatter::sent_round(payload), 3u);
+    if (payload / 1000 == 2) {
+      EXPECT_LT(Chatter::sent_round(payload), 3u);
+    }
   }
 }
 

@@ -375,15 +375,5 @@ TEST(Engine, SentByNodeTracksSenders) {
   EXPECT_EQ(eng.sent_by_node()[1], 0u);
 }
 
-TEST(Engine, EdgeTrafficRecorded) {
-  const Graph g = path2();
-  EngineConfig cfg;
-  cfg.record_edge_traffic = true;
-  SyncEngine eng(g, cfg);
-  eng.init_processes([](NodeId) { return std::make_unique<PingProcess>(); });
-  eng.run();
-  EXPECT_EQ(eng.edge_traffic()[0], 1u);
-}
-
 }  // namespace
 }  // namespace ule

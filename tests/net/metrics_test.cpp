@@ -61,8 +61,9 @@ TEST(Metrics, RegistryAccumulatesCountersSortedByName) {
 
 /// Adversarial flood-max through the ARQ wrapper on K_16: exercises every
 /// counter family (engine.*, adversary.*, arq.*) and both fault-recovery
-/// paths, while still electing a leader.
-ElectionReport metered_run(unsigned threads, bool metrics) {
+/// paths, while still electing a leader.  `max_delay` > 0 adds delays.
+ElectionReport metered_run(unsigned threads, bool metrics,
+                           Round max_delay = 0) {
   const Graph g = make_complete(16);
   RunOptions opt;
   opt.seed = 77;
@@ -72,6 +73,7 @@ ElectionReport metered_run(unsigned threads, bool metrics) {
   opt.adversary.seed = 0xBEEF;
   opt.adversary.drop = 0.15;
   opt.adversary.duplicate = 0.10;
+  opt.adversary.max_delay = max_delay;
   opt.metrics.enabled = metrics;
   ReliableConfig rcfg;
   return run_election(g, make_reliable(make_flood_max(), rcfg), opt);
@@ -308,6 +310,23 @@ TEST(Metrics, EnablingMetricsNeverPerturbsTheRun) {
   EXPECT_FALSE(off.run.metrics.has_value());
   ASSERT_TRUE(on.run.metrics.has_value());
   EXPECT_TRUE(testing::same_counters(off.run, on.run));
+}
+
+TEST(Metrics, OutboxGaugeCountsDelayedSends) {
+  // The outbox_arena gauge samples every envelope a round sent, whether it
+  // is due next round or held back by a drawn delay: over the run it totals
+  // the billed sends minus the dropped ones plus the duplicate copies.
+  for (const Round max_delay : {1u, 3u}) {
+    for (const unsigned t : {1u, 2u, 4u}) {
+      const ElectionReport rep = metered_run(t, true, max_delay);
+      ASSERT_TRUE(rep.run.metrics.has_value());
+      const RunResult& r = rep.run;
+      EXPECT_GT(r.adv_delays, 0u) << "max_delay=" << max_delay;
+      EXPECT_EQ(rep.run.metrics->outbox_arena.total,
+                r.messages - r.adv_drops + r.adv_dups)
+          << "max_delay=" << max_delay << " threads=" << t;
+    }
+  }
 }
 
 TEST(Metrics, SnapshotCountersMatchTheRunResult) {
