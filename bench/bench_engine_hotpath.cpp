@@ -3,7 +3,10 @@
 // (ring / clique / dumbbell), plus a quiescent-heavy scheduler stressor.
 //
 // Writes BENCH_engine.json: one row per (workload, n) with wall_ms and
-// derived rounds/sec, messages/sec and node-steps/sec ("ops").  Every future
+// derived rounds/sec, messages/sec and node-steps/sec ("ops").  Each row is
+// run 3 times (once with --quick): wall_ms is the median, wall_min_ms and
+// wall_max_ms the spread, and a counter that differs between repeats fails
+// the bench like a thread-ladder divergence does.  Every future
 // engine-perf PR reruns this bench and must not regress the trajectory
 // (the bench-baseline convention; see ROADMAP.md).  Row schema:
 //
@@ -14,6 +17,7 @@
 //                            | ring_quiescent | ring_quiescent_perround,
 //                 "family": ring | clique | dumbbell, "n": ..., "m": ...,
 //                 "seed": ..., "threads": ..., "wall_ms": ...,
+//                 "wall_min_ms": ..., "wall_max_ms": ...,
 //                 "logical_rounds": ..., "executed_rounds": ...,
 //                 "node_steps": ..., "messages": ..., "bits": ...,
 //                 "completed": ..., "elected": ..., "unique_leader": ...,
@@ -68,6 +72,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -104,7 +109,9 @@ class SpinProcess final : public Process {
 };
 
 struct Measured {
-  double wall_ms = 0;
+  double wall_ms = 0;  ///< the median over the repeats
+  double wall_min_ms = 0;
+  double wall_max_ms = 0;
   RunResult run;
   std::size_t m = 0;
   bool unique_leader = false;
@@ -125,6 +132,8 @@ void report_row(json::JsonReport& report, const char* workload,
       .set("seed", seed)
       .set("threads", static_cast<std::uint64_t>(threads))
       .set("wall_ms", mr.wall_ms)
+      .set("wall_min_ms", mr.wall_min_ms)
+      .set("wall_max_ms", mr.wall_max_ms)
       .set("logical_rounds", static_cast<std::uint64_t>(mr.run.rounds))
       .set("executed_rounds",
            static_cast<std::uint64_t>(mr.run.executed_rounds))
@@ -157,7 +166,7 @@ std::string divergence(const Measured& base, const Measured& got) {
 }
 
 Measured run_election_timed(const Graph& g, const ProcessFactory& factory,
-                            RunOptions opt) {
+                            const RunOptions& opt) {
   bench::WallTimer timer;
   const ElectionReport rep = run_election(g, factory, opt);
   Measured mr;
@@ -166,6 +175,36 @@ Measured run_election_timed(const Graph& g, const ProcessFactory& factory,
   mr.m = g.m();
   mr.unique_leader = rep.verdict.unique_leader;
   return mr;
+}
+
+/// Runs `once` `reps` times: the first run's counters with the median wall
+/// time and the min/max spread, or nullopt (after naming the diverging
+/// counters on stderr) when a repeat disagrees with the first run.
+template <class Once>
+std::optional<Measured> repeated(int reps, const char* workload, std::size_t n,
+                                 Once&& once) {
+  Measured first = once();
+  std::vector<double> walls = {first.wall_ms};
+  for (int r = 1; r < reps; ++r) {
+    const Measured again = once();
+    std::string bad;
+    for (const CounterDiff& d : diff_counters(first.run, again.run))
+      bad += std::string(" ") + d.name;
+    if (again.unique_leader != first.unique_leader) bad += " unique_leader";
+    if (!bad.empty()) {
+      std::fprintf(stderr,
+                   "REPEAT BREAK: %s n=%zu repeat %d diverges from the "
+                   "first run:%s\n",
+                   workload, n, r + 1, bad.c_str());
+      return std::nullopt;
+    }
+    walls.push_back(again.wall_ms);
+  }
+  std::sort(walls.begin(), walls.end());
+  first.wall_ms = walls[walls.size() / 2];
+  first.wall_min_ms = walls.front();
+  first.wall_max_ms = walls.back();
+  return first;
 }
 
 Measured run_quiescent(std::size_t n, Round rounds, unsigned threads,
@@ -241,6 +280,14 @@ int main(int argc, char** argv) {
                 "per-round cost O(runnable + delivered), not O(n)");
   json::JsonReport report("engine_hotpath");
   const std::uint64_t seed = 1;
+  const int reps = quick ? 1 : 3;
+  // One row's measurement: `reps` runs of `election` on g, checked equal.
+  const auto measure = [reps](const char* workload, const Graph& g,
+                              const ProcessFactory& election,
+                              const RunOptions& opt) {
+    return repeated(reps, workload, g.n(),
+                    [&] { return run_election_timed(g, election, opt); });
+  };
 
   auto capped = [&](std::initializer_list<std::size_t> sizes) {
     std::vector<std::size_t> out_sizes;
@@ -263,8 +310,9 @@ int main(int argc, char** argv) {
     opt.congest = CongestMode::Off;
     opt.threads = threads;
     opt.parallel_cutoff = parallel_cutoff;
-    report_row(report, "ring_dfs", "ring", n, seed,
-               run_election_timed(g, make_dfs_election(), opt), threads);
+    const auto mr = measure("ring_dfs", g, make_dfs_election(), opt);
+    if (!mr) return 1;
+    report_row(report, "ring_dfs", "ring", n, seed, *mr, threads);
   }
 
   // --- clique_sublinear ---
@@ -280,8 +328,10 @@ int main(int argc, char** argv) {
     opt.congest = CongestMode::Off;
     opt.threads = threads;
     opt.parallel_cutoff = parallel_cutoff;
-    report_row(report, "clique_sublinear", "clique", n, seed,
-               run_election_timed(g, make_sublinear_complete(), opt), threads);
+    const auto mr =
+        measure("clique_sublinear", g, make_sublinear_complete(), opt);
+    if (!mr) return 1;
+    report_row(report, "clique_sublinear", "clique", n, seed, *mr, threads);
   }
 
   // --- dumbbell_least_el ---
@@ -297,12 +347,12 @@ int main(int argc, char** argv) {
     opt.congest = CongestMode::Off;
     opt.threads = threads;
     opt.parallel_cutoff = parallel_cutoff;
+    const auto mr =
+        measure("dumbbell_least_el", db.graph,
+                make_least_el(LeastElConfig::variant_A(db.graph.n())), opt);
+    if (!mr) return 1;
     report_row(report, "dumbbell_least_el", "dumbbell", db.graph.n(), seed,
-               run_election_timed(
-                   db.graph,
-                   make_least_el(LeastElConfig::variant_A(db.graph.n())),
-                   opt),
-               threads);
+               *mr, threads);
   }
 
   // --- clique_flood_max: dense rounds swept across the thread ladder ---
@@ -323,7 +373,9 @@ int main(int argc, char** argv) {
         opt.congest = CongestMode::Off;
         opt.threads = t;
         opt.parallel_cutoff = parallel_cutoff;
-        const Measured mr = run_election_timed(g, make_flood_max(), opt);
+        const auto runs = measure("clique_flood_max", g, make_flood_max(), opt);
+        if (!runs) return 1;
+        const Measured& mr = *runs;
         if (t == ladder.front()) {
           base = mr;
         }
@@ -373,9 +425,12 @@ int main(int argc, char** argv) {
       opt.congest = CongestMode::Off;
       opt.threads = threads;
       opt.parallel_cutoff = parallel_cutoff;
-      const Measured plain = run_election_timed(g, make_flood_max(), opt);
+      const auto plain_runs = measure(row.workload, g, make_flood_max(), opt);
       row.arm(opt);
-      const Measured armed = run_election_timed(g, make_flood_max(), opt);
+      const auto armed_runs = measure(row.workload, g, make_flood_max(), opt);
+      if (!plain_runs || !armed_runs) return 1;
+      const Measured& plain = *plain_runs;
+      const Measured& armed = *armed_runs;
       std::string bad = divergence(plain, armed);
       if (plain.run.metrics ||
           armed.run.metrics.has_value() != opt.metrics.enabled)
@@ -396,6 +451,8 @@ int main(int argc, char** argv) {
           .set("seed", seed)
           .set("threads", static_cast<std::uint64_t>(threads))
           .set("wall_ms", armed.wall_ms)
+          .set("wall_min_ms", armed.wall_min_ms)
+          .set("wall_max_ms", armed.wall_max_ms)
           .set("plain_wall_ms", plain.wall_ms)
           .set("wall_ratio", ratio)
           .set("counters_identical", true);
@@ -413,7 +470,11 @@ int main(int argc, char** argv) {
          capped(quick ? std::initializer_list<std::size_t>{1'000}
                       : std::initializer_list<std::size_t>{10'000, 100'000,
                                                            1'000'000})) {
-      const Measured mr = run_quiescent(n, spin, threads, parallel_cutoff);
+      const auto runs = repeated(reps, "ring_quiescent", n, [&] {
+        return run_quiescent(n, spin, threads, parallel_cutoff);
+      });
+      if (!runs) return 1;
+      const Measured& mr = *runs;
       report_row(report, "ring_quiescent", "ring", n, seed, mr, threads);
       // Per-round scheduler cost, setup-free: a run's wall time includes
       // one-time O(n) work (wake-heap seeding, the final status tally), so
@@ -421,7 +482,7 @@ int main(int argc, char** argv) {
       // window long enough to dominate setup noise, best of three.  This is
       // the number that must be independent of n.
       const Round window = 1'000'000;
-      double best_short = mr.wall_ms, best_long = 1e300;
+      double best_short = mr.wall_min_ms, best_long = 1e300;
       for (int rep = 0; rep < 3; ++rep) {
         best_short =
             std::min(best_short, run_quiescent(n, spin, threads, parallel_cutoff).wall_ms);

@@ -293,6 +293,34 @@ void SyncEngine::adv_enqueue(SendLane& lane, NodeId from,
   }
 }
 
+namespace {
+
+/// Calls f(envelope) for positions [lo, hi) of the concatenation of
+/// `sources` — one worker's chunk of the round's envelope sequence.
+template <class F>
+void for_each_in_range(
+    const std::vector<std::vector<OutboundEnvelope>*>& sources,
+    std::size_t lo, std::size_t hi, F&& f) {
+  std::size_t base = 0;
+  for (const auto* src : sources) {
+    if (lo >= hi) return;
+    const std::size_t end = base + src->size();
+    for (; lo < hi && lo < end; ++lo) f((*src)[lo - base]);
+    base = end;
+  }
+}
+
+}  // namespace
+
+void SyncEngine::reserve_delivery(std::size_t total) {
+  if (total <= delivery_cap_) return;
+  const std::size_t cap = std::max(total, 2 * delivery_cap_);
+  delivery_.reset();  // nothing to keep: release before the larger block
+  delivery_.reset(
+      static_cast<Envelope*>(::operator new(cap * sizeof(Envelope))));
+  delivery_cap_ = cap;
+}
+
 void SyncEngine::deliver_round() {
   // Reset the previous round's buckets (only the nodes that had one).
   for (const NodeId s : dirty_) inbox_len_[s] = 0;
@@ -314,48 +342,80 @@ void SyncEngine::deliver_round() {
   for (SendLane& lane : lanes_) sources_.push_back(&lane.out);
   std::size_t total = 0;
   for (const auto* src : sources_) total += src->size();
+  reserve_delivery(total);
 
-  // Stable counting-bucket by destination: count, prefix, scatter.
-  // Scanning the sources in order makes each node's inbox order identical
-  // to a sequential execution.
-  for (const auto* src : sources_) {
-    for (const OutboundEnvelope& f : *src) {
-      if (inbox_len_[f.to]++ == 0) dirty_.push_back(f.to);
+  // Stable counting-bucket by destination: count, prefix, scatter.  Taking
+  // the envelopes in source order makes each node's inbox order identical to
+  // a sequential execution.
+  const bool parallel = parallel_ok_ && total >= 16 * cfg_.parallel_cutoff;
+  if (parallel) {
+    if (bucket_hist_.empty()) {
+      bucket_stride_ = (graph_.n() + 15) / 16 * 16;  // rows start on a line
+      bucket_hist_.assign(threads_ * bucket_stride_, 0);
+      bucket_touched_.resize(threads_ * bucket_stride_);
+      bucket_touched_len_.assign(threads_, 0);
+    }
+    // Count: worker w histograms its chunk and lists each new destination.
+    ensure_pool().run([this, total](unsigned w) {
+      std::uint32_t* const hist = bucket_hist_.data() + w * bucket_stride_;
+      NodeId* const touched = bucket_touched_.data() + w * bucket_stride_;
+      std::uint32_t k = 0;
+      const auto [lo, hi] = shard_range(w, total);
+      for_each_in_range(sources_, lo, hi, [&](const OutboundEnvelope& f) {
+        if (hist[f.to]++ == 0) touched[k++] = f.to;
+      });
+      bucket_touched_len_[w] = k;
+    });
+    // Totals, and dirty_ in first-delivery order: chunk w precedes chunk w+1
+    // in the envelope sequence, so a destination's first delivery lies in
+    // the lowest chunk that touched it.
+    for (unsigned w = 0; w < threads_; ++w) {
+      const std::uint32_t* const hist =
+          bucket_hist_.data() + w * bucket_stride_;
+      const NodeId* const touched = bucket_touched_.data() + w * bucket_stride_;
+      for (std::uint32_t k = 0; k < bucket_touched_len_[w]; ++k) {
+        const NodeId s = touched[k];
+        if (inbox_len_[s] == 0) dirty_.push_back(s);
+        inbox_len_[s] += hist[s];
+      }
+    }
+  } else {
+    for (const auto* src : sources_) {
+      for (const OutboundEnvelope& f : *src) {
+        if (inbox_len_[f.to]++ == 0) dirty_.push_back(f.to);
+      }
     }
   }
   std::uint32_t cursor = 0;
   for (const NodeId s : dirty_) {
     inbox_off_[s] = cursor;
     cursor += inbox_len_[s];
-    inbox_len_[s] = 0;  // reused as the fill cursor during the scatter
+    inbox_len_[s] = 0;  // reused as the fill cursor below
   }
-  delivery_.resize(total);
 
-  if (parallel_ok_ && total >= 16 * cfg_.parallel_cutoff) {
-    // Parallel scatter: a sequential addressing pass fixes every envelope's
-    // delivery slot (source order per destination), then workers move
-    // disjoint contiguous chunks of the envelope sequence — fully
-    // deterministic.
-    scatter_pos_.resize(total);
-    std::size_t i = 0;
-    for (const auto* src : sources_) {
-      for (const OutboundEnvelope& f : *src)
-        scatter_pos_[i++] = inbox_off_[f.to] + inbox_len_[f.to]++;
-    }
-    ensure_pool().run([this, total](unsigned w) {
-      auto [lo, hi] = shard_range(w, total);
-      // Walk the sources to the w-th chunk of the global envelope sequence.
-      std::size_t base = 0;
-      for (const auto* src : sources_) {
-        const std::size_t sz = src->size();
-        while (lo < hi && lo < base + sz) {
-          const OutboundEnvelope& f = (*src)[lo - base];
-          delivery_[scatter_pos_[lo]] = Envelope{f.at_port, f.flat, f.link};
-          ++lo;
-        }
-        base += sz;
-        if (lo >= hi) break;
+  if (parallel) {
+    // Lay out: each worker's first write slot per destination follows the
+    // slots of every lower chunk's envelopes for it.
+    for (unsigned w = 0; w < threads_; ++w) {
+      std::uint32_t* const hist = bucket_hist_.data() + w * bucket_stride_;
+      const NodeId* const touched = bucket_touched_.data() + w * bucket_stride_;
+      for (std::uint32_t k = 0; k < bucket_touched_len_[w]; ++k) {
+        const NodeId s = touched[k];
+        const std::uint32_t count = hist[s];
+        hist[s] = inbox_off_[s] + inbox_len_[s];
+        inbox_len_[s] += count;
       }
+    }
+    // Scatter: every worker fills its own slots, then zeroes its row.
+    ensure_pool().run([this, total](unsigned w) {
+      std::uint32_t* const hist = bucket_hist_.data() + w * bucket_stride_;
+      const NodeId* const touched = bucket_touched_.data() + w * bucket_stride_;
+      const auto [lo, hi] = shard_range(w, total);
+      for_each_in_range(sources_, lo, hi, [&](const OutboundEnvelope& f) {
+        delivery_[hist[f.to]++] = Envelope{f.at_port, f.flat, f.link};
+      });
+      for (std::uint32_t k = 0; k < bucket_touched_len_[w]; ++k)
+        hist[touched[k]] = 0;
     });
   } else {
     for (const auto* src : sources_) {
@@ -391,7 +451,7 @@ void SyncEngine::apply_reorder() {
     // function of what was delivered, never of how lanes were interleaved.
     Rng coin(adversary_coin(adv.seed ^ kAdversaryReorderDomain, s, round_, len));
     if (!coin.bernoulli(adv.reorder)) continue;
-    Envelope* inbox = delivery_.data() + inbox_off_[s];
+    Envelope* inbox = delivery_.get() + inbox_off_[s];
     for (std::uint32_t i = len - 1; i > 0; --i)
       std::swap(inbox[i], inbox[coin.below(i + 1)]);
   }
@@ -471,7 +531,7 @@ inline void SyncEngine::step_node(Ctx& ctx, NodeId s) {
   NodeState& n = nodes_[s];
   ctx.bind(s);
   // inbox_off_ is stale for nodes that received nothing this round; only
-  // form the pointer when there is an inbox (the buffer may have shrunk).
+  // form the pointer when there is an inbox.
   const std::span<const Envelope> in = inbox_of(s);
   if (n.state == RunState::Unwoken) {
     n.state = RunState::Running;

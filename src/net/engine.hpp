@@ -44,9 +44,17 @@
 //             reproduces every RunResult counter exactly.  Hence runs are
 //             bit-for-bit identical at every thread count (pinned by the
 //             parallel-determinism matrix test).
-// The CSR bucket pass is parallelized the same way: a sequential addressing
-// pass assigns every envelope its exact delivery slot, then workers move
-// disjoint contiguous chunks.  Rounds below EngineConfig::parallel_cutoff
+// The CSR bucket pass is parallelized the same way, as a stable counting
+// sort over contiguous chunks of the round's envelope sequence:
+//   count     each worker counts its chunk's destinations into a private
+//             histogram and lists each destination the first time it sees it;
+//   lay out   one thread walks those short lists in worker order, which
+//             yields the first-delivery order, every inbox offset and each
+//             worker's first write slot per destination — O(threads x
+//             distinct receivers), never a pass over the envelopes;
+//   scatter   each worker moves its chunk into its own slots.
+// Chunk w precedes chunk w+1 in send order, so every inbox comes out in send
+// order at any thread count.  Rounds below EngineConfig::parallel_cutoff
 // runnable nodes stay on the sequential fast path (pool dispatch costs a few
 // microseconds; a quiescent ring round costs ~16 ns), as do runs with
 // order-dependent instrumentation (tracing, edge watches).
@@ -77,6 +85,7 @@
 #include <exception>
 #include <functional>
 #include <memory>
+#include <new>
 #include <optional>
 #include <queue>
 #include <span>
@@ -136,7 +145,8 @@ struct EngineConfig {
   /// Minimum sorted-runnable size before a round is dispatched to the worker
   /// pool (pool dispatch costs microseconds; tiny rounds — e.g. ring DFS at
   /// ~1.6 runnable nodes/round — must stay on the ~16 ns sequential path).
-  /// The CSR scatter pass parallelizes at 16x this many delivered envelopes.
+  /// The CSR bucket pass (count, lay out, scatter) runs on the pool at 16x
+  /// this many delivered envelopes.
   std::size_t parallel_cutoff = 192;
   /// Seeded delivery/fault adversary (net/adversary.hpp).  Default = off: the
   /// engine takes the exact fault-free hot path.  Adversarial rounds step and
@@ -459,7 +469,7 @@ class SyncEngine {
   /// The delivered inbox of node `s` this round (empty span if none).
   std::span<const Envelope> inbox_of(NodeId s) const {
     return inbox_len_[s] > 0
-               ? std::span<const Envelope>{delivery_.data() + inbox_off_[s],
+               ? std::span<const Envelope>{delivery_.get() + inbox_off_[s],
                                            inbox_len_[s]}
                : std::span<const Envelope>{};
   }
@@ -467,10 +477,16 @@ class SyncEngine {
   /// Bucket this round's sources — the due delay-ring slot, then last
   /// round's lane outboxes in lane order (= send order) — by destination into
   /// the CSR delivery buffer; fills dirty_ (receivers this round, in
-  /// first-delivery order).  Clears the previous round's buckets first.  The
-  /// scatter runs on the worker pool above the cutoff.  Afterwards the
-  /// lanes' parked envelopes move into their ring slots.
+  /// first-delivery order).  Clears the previous round's buckets first.  At
+  /// 16 x parallel_cutoff envelopes the count and the scatter run on the
+  /// worker pool and only the per-worker destination lists are walked on one
+  /// thread (file comment).  Afterwards the lanes' parked envelopes move into
+  /// their ring slots.
   void deliver_round();
+  /// Room for `total` envelopes in the delivery buffer.  Grow-only and
+  /// geometric; the storage is left uninitialised and old contents are not
+  /// kept — the scatter writes every slot below `total` before a step reads.
+  void reserve_delivery(std::size_t total);
   /// Adversary hook inside do_send (send_faults_on_ only): roll drop /
   /// duplicate / delay coins and append each surviving copy to the lane's
   /// `out`, or to its `parked` list when drawn a positive delay.
@@ -517,14 +533,27 @@ class SyncEngine {
   unsigned threads_ = 1;        // resolved worker count (cfg.threads, 0=hw)
   bool parallel_ok_ = false;    // threads_>1 and no order-dependent instr.
   std::unique_ptr<WorkerPool> pool_;            // spawned on first dense round
-  std::vector<std::uint32_t> scatter_pos_;      // per-envelope delivery slot
   // deliver_round's bucket sources, in inbox order (due ring slot, lanes).
   std::vector<std::vector<OutboundEnvelope>*> sources_;
+  // Parallel bucket pass buffers, allocated on its first use.  Worker w owns
+  // row w (bucket_stride_ entries) of each: a destination histogram — counts
+  // after the count step, write cursors during the scatter, all zero between
+  // rounds — and the destinations its chunk touched, in first-seen order
+  // (bucket_touched_len_[w] of them).
+  std::vector<std::uint32_t> bucket_hist_;
+  std::vector<NodeId> bucket_touched_;
+  std::vector<std::uint32_t> bucket_touched_len_;
+  std::size_t bucket_stride_ = 0;
 
   // CSR delivery buffer: envelopes of the current round, bucketed by
   // destination.  Node s's inbox is delivery_[inbox_off_[s] ..
-  // inbox_off_[s] + inbox_len_[s]) — valid only for s in dirty_.
-  std::vector<Envelope> delivery_;
+  // inbox_off_[s] + inbox_len_[s]) — valid only for s in dirty_.  Raw
+  // storage (reserve_delivery): Envelope is an implicit-lifetime aggregate.
+  struct FreeStorage {
+    void operator()(Envelope* p) const { ::operator delete(p); }
+  };
+  std::unique_ptr<Envelope[], FreeStorage> delivery_;
+  std::size_t delivery_cap_ = 0;
   std::vector<std::uint32_t> inbox_off_;
   std::vector<std::uint32_t> inbox_len_;
   std::vector<NodeId> dirty_;        // nodes with a non-empty inbox this round

@@ -1,11 +1,13 @@
 // Unit tests for the parallel-merge seams (previously covered only
 // end-to-end by the parallel-determinism matrix): counter-block summation
 // and fold order with hand-crafted SendLanes, first-exception-in-lane-order
-// selection, and the preservation of send order through the lane
-// concatenation at the receiving side.
+// selection, the preservation of send order through the lane concatenation
+// at the receiving side, and byte-identical inboxes out of the parallel CSR
+// bucket pass at every thread count.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -205,6 +207,103 @@ TEST(LaneMerge, LowestSlotExceptionSurfacesAtEveryThreadCount) {
       FAIL() << "expected a throw at threads " << t;
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "boom at slot 7") << "threads " << t;
+    }
+  }
+}
+
+/// Floods every port for kFloodRounds rounds (payload and link header both
+/// name the sender, round and port), then idles; every envelope it receives,
+/// in inbox order, is folded into an FNV-1a digest of the receive round, the
+/// arrival port and every FlatMsg and LinkHeader field.
+class InboxDigestProcess final : public Process {
+ public:
+  static constexpr Round kFloodRounds = 4;
+
+  void on_wake(Context& ctx, std::span<const Envelope> inbox) override {
+    on_round(ctx, inbox);
+  }
+  void on_round(Context& ctx, std::span<const Envelope> inbox) override {
+    for (const Envelope& env : inbox) {
+      mix(ctx.round());
+      mix(env.port);
+      mix(env.flat.type);
+      mix(env.flat.channel);
+      mix(env.flat.flags);
+      mix(env.flat.bits);
+      mix(env.flat.a);
+      mix(env.flat.b);
+      mix(env.flat.c);
+      mix(env.link.seq);
+      mix(env.link.epoch);
+      mix(env.link.ack);
+      mix(env.link.ack_epoch);
+    }
+    if (ctx.round() >= kFloodRounds) {
+      ctx.idle();  // later (delayed) arrivals still wake it
+      return;
+    }
+    for (PortId p = 0; p < ctx.degree(); ++p) {
+      FlatMsg m;
+      m.type = 3;
+      m.channel = 41;
+      m.flags = static_cast<std::uint8_t>(p);
+      m.bits = 64;
+      m.a = ctx.slot();
+      m.b = ctx.round();
+      m.c = p;
+      const auto r = static_cast<std::uint32_t>(ctx.round());
+      ctx.send(p, m, LinkHeader{ctx.slot(), r, p, ~r});
+    }
+  }
+  std::uint64_t digest() const { return digest_; }
+
+ private:
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i, v >>= 8) {
+      digest_ ^= v & 0xff;
+      digest_ *= 0x100000001b3ULL;
+    }
+  }
+  std::uint64_t digest_ = 0xcbf29ce484222325ULL;
+};
+
+std::vector<std::uint64_t> inbox_digests(unsigned threads, bool adversarial) {
+  const Graph g = make_complete(64);
+  EngineConfig cfg;
+  cfg.seed = 11;
+  cfg.threads = threads;
+  cfg.parallel_cutoff = 1;  // every flood round takes the parallel bucket pass
+  if (adversarial) {
+    // Delays put the due ring slot and the lanes into one bucket pass.
+    cfg.adversary.seed = 0xD1CE;
+    cfg.adversary.max_delay = 2;
+    cfg.adversary.duplicate = 0.1;
+  }
+  SyncEngine eng(g, cfg);
+  eng.init_processes(
+      [](NodeId) { return std::make_unique<InboxDigestProcess>(); });
+  const RunResult res = eng.run();
+  EXPECT_TRUE(res.completed);
+  EXPECT_EQ(res.messages,
+            64u * 63u * static_cast<std::uint64_t>(
+                            InboxDigestProcess::kFloodRounds));
+  if (adversarial) {
+    EXPECT_GT(res.adv_delays, 0u);
+    EXPECT_GT(res.adv_dups, 0u);
+  }
+  std::vector<std::uint64_t> digests;
+  for (NodeId s = 0; s < g.n(); ++s)
+    digests.push_back(
+        dynamic_cast<const InboxDigestProcess*>(eng.process(s))->digest());
+  return digests;
+}
+
+TEST(LaneMerge, InboxesAreIdenticalAtEveryThreadCount) {
+  for (const bool adversarial : {false, true}) {
+    const auto base = inbox_digests(1, adversarial);
+    for (const unsigned t : {2u, 3u, 8u}) {
+      EXPECT_EQ(inbox_digests(t, adversarial), base)
+          << "threads " << t << (adversarial ? " (delay + dup)" : " (clean)");
     }
   }
 }
