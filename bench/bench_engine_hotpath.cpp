@@ -1,6 +1,6 @@
 // Engine hot-path baseline: end-to-end wall-clock throughput of the
-// SyncEngine on the three topology regimes the Table-1 reproductions sweep
-// (ring / clique / dumbbell), plus a quiescent-heavy scheduler stressor.
+// SyncEngine on three topology regimes (ring / clique / dumbbell), plus a
+// quiescent-heavy scheduler stressor.
 //
 // Writes BENCH_engine.json: one row per (workload, n) with wall_ms and
 // derived rounds/sec, messages/sec and node-steps/sec ("ops").  Each row is
@@ -69,6 +69,7 @@
 //                    O(n)-scan scheduler fails this by orders of magnitude).
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -77,7 +78,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "election/dfs_election.hpp"
 #include "net/metrics.hpp"
 #include "election/flood_max.hpp"
@@ -92,6 +92,19 @@
 
 namespace ule {
 namespace {
+
+/// Monotonic wall-clock stopwatch.
+class WallTimer {
+ public:
+  double elapsed_ms() const {
+    const auto d = std::chrono::steady_clock::now() - start_;
+    return std::chrono::duration<double, std::milli>(d).count();
+  }
+
+ private:
+  std::chrono::steady_clock::time_point start_ =
+      std::chrono::steady_clock::now();
+};
 
 /// Stays runnable every round (without sending) until `limit`, then halts.
 class SpinProcess final : public Process {
@@ -167,7 +180,7 @@ std::string divergence(const Measured& base, const Measured& got) {
 
 Measured run_election_timed(const Graph& g, const ProcessFactory& factory,
                             const RunOptions& opt) {
-  bench::WallTimer timer;
+  WallTimer timer;
   const ElectionReport rep = run_election(g, factory, opt);
   Measured mr;
   mr.wall_ms = timer.elapsed_ms();
@@ -220,7 +233,7 @@ Measured run_quiescent(std::size_t n, Round rounds, unsigned threads,
   eng.set_wakeup(single_wakeup(n, 0));
   eng.init_processes(
       [rounds](NodeId) { return std::make_unique<SpinProcess>(rounds); });
-  bench::WallTimer timer;
+  WallTimer timer;
   const RunResult run = eng.run();
   Measured mr;
   mr.wall_ms = timer.elapsed_ms();
@@ -276,8 +289,8 @@ int main(int argc, char** argv) {
     return only.empty() || std::string(workload).find(only) != std::string::npos;
   };
 
-  bench::header("Engine hot path: wall-clock throughput",
-                "per-round cost O(runnable + delivered), not O(n)");
+  std::printf("\n=== Engine hot path: wall-clock throughput ===\n"
+              "paper claim: per-round cost O(runnable + delivered), not O(n)\n");
   json::JsonReport report("engine_hotpath");
   const std::uint64_t seed = 1;
   const int reps = quick ? 1 : 3;

@@ -46,7 +46,7 @@ BridgeCrossingSummary run_bridge_crossing(std::size_t n, std::size_t m,
     }
     total_msgs += static_cast<double>(run.messages_total);
 
-    sum.side_m = d.graph.m() / 2;
+    sum.side_m = (d.graph.m() - 2) / 2;  // minus the two bridges
     sum.kappa = d.kappa;
     sum.runs.push_back(run);
   }

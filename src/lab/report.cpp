@@ -120,7 +120,12 @@ std::string complexity_markdown(const CampaignResult& res) {
       "(the\nreliable-transport layer's retransmit overhead, "
       "[RELIABILITY.md](RELIABILITY.md)).\nCounter\nstatistics "
       "and exponents are a pure function of the master seed; wall clocks\n"
-      "are from the machine that generated this file.\n\n";
+      "are from the machine that generated this file.\n\n"
+      "This file and [REGISTRY.md](REGISTRY.md) (each protocol's success "
+      "contract and\nrequired knowledge) are the measured Table 1.  The "
+      "paper's lower bounds\n(Theorems 3.1 and 3.13) are tier-1 tests "
+      "instead: `tests/bounds/` and\n`tests/integration/complexity_test.cpp`."
+      "\n\n";
   md += "Campaign: master seed " + u64(res.master_seed) + ", " +
         u64(res.replicates) + " replicates per cell, " + u64(res.total_runs) +
         " engine runs.\n\n";
@@ -217,9 +222,9 @@ std::string registry_markdown(const ProtocolRegistry& protocols,
       "-->\n\n";
   md += "The single source of truth is `src/scenario/registry.cpp` "
         "(`default_protocols()`\nand `default_families()`); the conformance "
-        "matrix, the CONGEST matrix, the\nTable-1 bench, the fuzzer and the "
-        "Complexity Lab all consume it.  Registering\na protocol or family "
-        "covers it everywhere at once.\n\n";
+        "matrix, the CONGEST matrix, the\nfuzzer and the Complexity Lab all "
+        "consume it.  Registering a protocol or\nfamily covers it everywhere "
+        "at once.\n\n";
 
   md += "## Protocols (" + u64(protocols.all().size()) + ")\n\n";
   md += "Success contracts: *deterministic* and *las_vegas* must elect a "

@@ -3,11 +3,11 @@
 // graph family's parameterized, seedable generator with its valid ranges.
 //
 // Everything that used to be re-declared ad hoc (the AlgoSpec lambdas of
-// matrix_test / congest_matrix_test, the factory lists of complexity_test and
-// bench_table1_summary) consumes these registries, and the conformance fuzzer
-// draws its randomized scenario space from them.  A new protocol or family
-// registers once and is immediately covered by the conformance matrix, the
-// CONGEST matrix, the Table-1 bench and the fuzzer.
+// matrix_test / congest_matrix_test, the factory lists of complexity_test)
+// consumes these registries, and the conformance fuzzer draws its randomized
+// scenario space from them.  A new protocol or family registers once and is
+// immediately covered by the conformance matrix, the CONGEST matrix, the
+// fuzzer and the Complexity Lab.
 //
 // The success contract is the paper's taxonomy (Table 1): deterministic
 // algorithms and Las Vegas algorithms must elect a unique leader on every

@@ -34,12 +34,25 @@ TEST(Truncation, ShortHorizonFailsOnCliqueCycle) {
 }
 
 TEST(Truncation, SuccessImprovesWithHorizon) {
-  const CliqueCycle cc = make_clique_cycle(48, 24);
-  const auto diam = diameter_exact(cc.graph);
-  const auto short_h = run_truncation_trials(cc.graph, diam / 8, 30, 5);
-  const auto full_h = run_truncation_trials(cc.graph, diam + 1, 30, 5);
-  EXPECT_LT(short_h.success_rate(), full_h.success_rate());
-  EXPECT_EQ(full_h.unique_leader, full_h.trials);
+  // Theorem 3.13's shape: success stays below the 15/16 threshold while the
+  // horizon is at most D/4 and is certain once the horizon reaches D.
+  struct Instance {
+    std::size_t n, d, trials;
+    std::uint64_t seed;
+  };
+  const Instance instances[] = {{48, 24, 30, 5}, {128, 32, 60, 777}};
+  for (const Instance& in : instances) {
+    const CliqueCycle cc = make_clique_cycle(in.n, in.d);
+    const Round diam = diameter_exact(cc.graph);
+    for (const Round h : {diam / 8, diam / 4}) {
+      const auto st = run_truncation_trials(cc.graph, h, in.trials, in.seed);
+      EXPECT_LT(st.success_rate(), 15.0 / 16.0) << "n=" << in.n << " h=" << h;
+    }
+    for (const Round h : {diam, diam + diam / 2}) {
+      const auto st = run_truncation_trials(cc.graph, h, in.trials, in.seed);
+      EXPECT_EQ(st.unique_leader, st.trials) << "n=" << in.n << " h=" << h;
+    }
+  }
 }
 
 TEST(Truncation, StatsAddUp) {

@@ -4,7 +4,9 @@
 
 #include <cmath>
 
+#include "election/flood_max.hpp"
 #include "election/least_el.hpp"
+#include "graphgen/clique_cycle.hpp"
 #include "graphgen/generators.hpp"
 #include "graphgen/graph_algos.hpp"
 #include "helpers.hpp"
@@ -103,6 +105,66 @@ TEST(Complexity, CandidateReductionOrdersMessageCosts) {
       mean_msgs(make_least_el(LeastElConfig::theorem_4_4(2.0)), copt);
   EXPECT_GT(full, logn);
   EXPECT_GE(logn, constant);
+}
+
+TEST(Complexity, FullAlgorithmsTakeOmegaDOnCliqueCycle) {
+  // Theorem 3.13: success above 15/16 forces Omega(D) rounds.  On the
+  // clique-cycle (Figure 1) a full election never finishes before D.
+  for (const std::size_t d : {8u, 16u, 32u, 64u}) {
+    const CliqueCycle cc = make_clique_cycle(192, d);
+    const std::uint32_t diam = diameter_exact(cc.graph);
+    for (const char* name : {"flood_max", "least_el_all"}) {
+      RunOptions opt;
+      opt.seed = 11;
+      const auto rep =
+          run_election(cc.graph, registered(name, cc.graph, opt, diam), opt);
+      EXPECT_TRUE(rep.verdict.unique_leader) << name << " d=" << d;
+      EXPECT_GE(rep.run.rounds, diam) << name << " d=" << d;
+    }
+  }
+}
+
+TEST(Complexity, RingSeparatesRandomizedFromDeterministic) {
+  // The paper's ring separation: a fast deterministic election pays
+  // Omega(n log n) messages on a cycle, so flood-max's messages/n grows
+  // with n, while Theorem 4.4.B's randomized variant keeps it flat.
+  // Mean messages/n on cycles n = 32, 128, 512.
+  std::size_t elected = 0;
+  const auto series = [&elected](const ProcessFactory& factory,
+                                 RunOptions base, bool grant_n,
+                                 std::size_t trials) {
+    std::vector<double> per_n;
+    for (const std::size_t n : {32u, 128u, 512u}) {
+      const Graph g = make_cycle(n);
+      if (grant_n) base.knowledge = Knowledge::of_n(n);
+      double total = 0;
+      for (std::size_t t = 0; t < trials; ++t) {
+        RunOptions opt = base;
+        opt.seed = base.seed + 7919 * t + 13;
+        const auto rep = run_election(g, factory, opt);
+        elected += rep.verdict.unique_leader;
+        total += static_cast<double>(rep.run.messages);
+      }
+      per_n.push_back(total / static_cast<double>(trials * n));
+    }
+    return per_n;
+  };
+  RunOptions fm;
+  fm.seed = 3;
+  fm.ids = IdScheme::RandomFromZ;
+  const auto flood = series(make_flood_max(), fm, false, 3);
+  EXPECT_GT(flood[1], flood[0]);
+  EXPECT_GT(flood[2], flood[1]);
+  EXPECT_GE(flood[2], 1.4 * flood[0]);
+  EXPECT_EQ(elected, 9u);  // deterministic: every run elects
+  // An ablation config, deliberately not a registry entry.
+  elected = 0;
+  RunOptions vb;
+  vb.seed = 5;
+  const auto randomized =
+      series(make_least_el(LeastElConfig::variant_B(0.1)), vb, true, 25);
+  for (const double r : randomized) EXPECT_LE(r, 1.25 * randomized[0]);
+  EXPECT_GE(elected, 68u);  // Monte Carlo, eps = 0.1: >= 90% of 75 runs
 }
 
 TEST(Complexity, KingdomMessagesTrackMLogN) {

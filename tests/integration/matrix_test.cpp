@@ -12,8 +12,8 @@
 //                               may legitimately leave the network silent).
 //
 // The protocol list lives in the registry, not here: registering a protocol
-// adds its row to this matrix, the CONGEST matrix, the Table-1 bench and the
-// conformance fuzzer at once.
+// adds its row to this matrix, the CONGEST matrix and the conformance fuzzer
+// at once.
 
 #include <gtest/gtest.h>
 
