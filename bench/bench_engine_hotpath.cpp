@@ -226,7 +226,7 @@ Measured run_quiescent(std::size_t n, Round rounds, unsigned threads,
   EngineConfig cfg;
   cfg.congest = CongestMode::Off;
   cfg.threads = threads;  // must not matter: counters are thread-invariant
-  if (parallel_cutoff != 0) cfg.parallel_cutoff = parallel_cutoff;
+  cfg.parallel_cutoff = parallel_cutoff;
   SyncEngine eng(g, cfg);
   // Only node 0 ever wakes; everyone else stays unwoken forever, so the
   // whole run is scheduler bookkeeping, no delivery, no messages.
@@ -252,7 +252,7 @@ int main(int argc, char** argv) {
   bool quick = false;
   std::size_t max_n = 1'000'000;
   unsigned threads = 1;
-  std::size_t parallel_cutoff = 0;  // 0 = engine default
+  std::size_t parallel_cutoff = EngineConfig{}.parallel_cutoff;
   std::string out = "BENCH_engine.json";
   std::string metrics_out;
   std::string only;

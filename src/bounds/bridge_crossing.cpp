@@ -1,9 +1,27 @@
 #include "bounds/bridge_crossing.hpp"
 
+#include <algorithm>
+#include <limits>
+
 #include "graphgen/graph_algos.hpp"
 #include "net/rng.hpp"
 
 namespace ule {
+
+FirstCrossing first_crossing(const SyncEngine& eng,
+                             std::span<const EdgeId> edges) {
+  FirstCrossing cross;
+  for (const TraceEvent& ev : eng.trace()) {
+    if (ev.kind != TraceEvent::Kind::Send) continue;
+    const EdgeId e = eng.graph().half_edge(ev.node, ev.port).edge;
+    if (std::find(edges.begin(), edges.end(), e) != edges.end()) {
+      cross.round = ev.round;
+      return cross;
+    }
+    ++cross.messages_before;
+  }
+  return FirstCrossing{};
+}
 
 BridgeCrossingSummary run_bridge_crossing(std::size_t n, std::size_t m,
                                           const ProcessFactory& factory,
@@ -24,9 +42,14 @@ BridgeCrossingSummary run_bridge_crossing(std::size_t n, std::size_t m,
     RunOptions opt;
     opt.seed = seed + 1000 * s + 7;
     opt.knowledge = Knowledge::all(d.graph.n(), d.graph.m(), d.diameter);
-    opt.watch_edges = {d.bridge1, d.bridge2};
+    opt.trace_limit = std::numeric_limits<std::size_t>::max();
 
-    const ElectionReport rep = run_election(d.graph, factory, opt);
+    const EdgeId bridges[] = {d.bridge1, d.bridge2};
+    FirstCrossing cross;
+    const ElectionReport rep =
+        run_election(d.graph, factory, opt, [&](const SyncEngine& eng) {
+          cross = first_crossing(eng, bridges);
+        });
 
     BridgeCrossingRun run;
     run.open_left = left;
@@ -34,12 +57,8 @@ BridgeCrossingSummary run_bridge_crossing(std::size_t n, std::size_t m,
     run.messages_total = rep.run.messages;
     run.rounds_total = rep.run.rounds;
     run.unique_leader = rep.verdict.unique_leader;
-    for (const WatchReport& w : rep.watches) {
-      if (w.first_cross < run.first_cross) {
-        run.first_cross = w.first_cross;
-        run.messages_before_cross = w.messages_before_cross;
-      }
-    }
+    run.first_cross = cross.round;
+    run.messages_before_cross = cross.messages_before;
     if (run.first_cross != kRoundForever) {
       ++crossed;
       total_before += static_cast<double>(run.messages_before_cross);

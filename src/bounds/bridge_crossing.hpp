@@ -2,14 +2,22 @@
 // made operational.
 //
 // An algorithm achieves BC on a dumbbell graph when a message crosses one of
-// the two bridge edges.  The engine's edge watches record the first crossing
-// round and the number of messages sent strictly before it; averaging those
+// the two bridge edges.  Each run is traced (EngineConfig::trace_limit), and
+// first_crossing reads the first crossing round and the number of messages
+// sent strictly before it off the trace's global send order; averaging those
 // counts over a class C(G', G'') — i.e. over choices of the opened clique
 // edges e', e'' — is exactly the quantity Lemma 3.5 lower-bounds by Ω(m).
+//
+// Limitation: under the default simultaneous wakeup, a protocol that floods
+// on waking crosses a bridge in round 0, and the count is then the first
+// bridge sender's position in round 0's send order (ascending slot order),
+// not a property of the protocol — least_el_all and kingdom measure the
+// same on such classes.
 
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "election/election.hpp"
@@ -35,6 +43,17 @@ struct BridgeCrossingSummary {
   std::size_t side_m = 0;          ///< edges per dumbbell side (Θ(m))
   std::size_t kappa = 0;
 };
+
+/// The first traversal of any edge in `edges` in a traced run.
+struct FirstCrossing {
+  Round round = kRoundForever;        ///< round of the first traversal
+  std::uint64_t messages_before = 0;  ///< sends strictly before it
+};
+
+/// Scan `eng`'s trace for the first Send over one of `edges`.  The run must
+/// have been traced with a trace_limit no send count reaches.
+FirstCrossing first_crossing(const SyncEngine& eng,
+                             std::span<const EdgeId> edges);
 
 /// Run `factory` on `samples` dumbbell graphs with per-side n nodes and
 /// ~m edges, sampling (e', e'') uniformly, and aggregate BC statistics.

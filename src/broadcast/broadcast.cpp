@@ -1,6 +1,7 @@
 #include "broadcast/broadcast.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -38,11 +39,20 @@ ProcessFactory make_flood_broadcast(NodeId source) {
   };
 }
 
+std::uint64_t sends_before(const SyncEngine& eng, Round r) {
+  std::uint64_t sends = 0;
+  for (const TraceEvent& ev : eng.trace()) {
+    if (ev.round >= r) break;  // the trace is in round order
+    sends += ev.kind == TraceEvent::Kind::Send;
+  }
+  return sends;
+}
+
 BroadcastReport run_broadcast(const Graph& g, NodeId source,
                               std::uint64_t seed) {
   EngineConfig cfg;
   cfg.seed = seed;
-  cfg.record_message_timeline = true;
+  cfg.trace_limit = std::numeric_limits<std::size_t>::max();
   SyncEngine eng(g, cfg);
   eng.init_processes(make_flood_broadcast(source));
   const RunResult res = eng.run();
@@ -69,9 +79,9 @@ BroadcastReport run_broadcast(const Graph& g, NodeId source,
     std::nth_element(informed.begin(), informed.begin() + (need - 1),
                      informed.end());
     rep.round_majority = informed[need - 1];
-    // Messages sent in rounds <= round_majority (informing messages were
+    // Messages sent in rounds < round_majority (informing messages were
     // sent the round before they arrived).
-    rep.messages_majority = eng.messages_before(rep.round_majority);
+    rep.messages_majority = sends_before(eng, rep.round_majority);
   }
   return rep;
 }

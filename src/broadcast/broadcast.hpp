@@ -9,8 +9,8 @@
 // The implementation is flooding-with-echo (a single PIF wave): each node
 // forwards the payload once on every other port and echoes; the source
 // detects completion.  The per-node informed round is exposed so the harness
-// can measure "messages until a majority is informed" via the engine's
-// message timeline.
+// can measure "messages until a majority is informed" by counting the sends
+// of earlier rounds in the engine's trace.
 
 #pragma once
 
@@ -53,6 +53,11 @@ struct BroadcastReport {
   Round round_majority = kRoundForever;
   bool all_informed = false;
 };
+
+/// The messages sent in rounds < r: the Send events of `eng`'s trace with
+/// round < r.  The run must have been traced with a trace_limit no send
+/// count reaches.
+std::uint64_t sends_before(const SyncEngine& eng, Round r);
 
 /// Run a broadcast from `source` on g and measure total + majority costs.
 BroadcastReport run_broadcast(const Graph& g, NodeId source,

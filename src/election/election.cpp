@@ -23,18 +23,7 @@ ElectionVerdict judge_election(const SyncEngine& eng) {
 ElectionReport run_election(const Graph& g, const ProcessFactory& factory,
                             const RunOptions& opt,
                             const std::function<void(const SyncEngine&)>& inspect) {
-  EngineConfig cfg;
-  cfg.seed = opt.seed;
-  cfg.max_rounds = opt.max_rounds;
-  cfg.congest = opt.congest;
-  cfg.watch_edges = opt.watch_edges;
-  cfg.threads = opt.threads;
-  if (opt.parallel_cutoff != 0) cfg.parallel_cutoff = opt.parallel_cutoff;
-  cfg.adversary = opt.adversary;
-  if (opt.congest_bits != 0) cfg.congest_bits = opt.congest_bits;
-  cfg.metrics = opt.metrics;
-
-  SyncEngine eng(g, cfg);
+  SyncEngine eng(g, opt);
 
   ElectionReport rep;
   if (!opt.anonymous) {
@@ -48,7 +37,6 @@ ElectionReport run_election(const Graph& g, const ProcessFactory& factory,
 
   rep.run = eng.run();
   rep.verdict = judge_election(eng);
-  rep.watches = eng.watch_reports();
   rep.statuses.reserve(g.n());
   for (NodeId s = 0; s < g.n(); ++s) rep.statuses.push_back(eng.status(s));
   rep.sent_by_node = eng.sent_by_node();

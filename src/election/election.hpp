@@ -36,40 +36,24 @@ ElectionVerdict judge_election(const SyncEngine& eng);
 
 using ProcessFactory = std::function<std::unique_ptr<Process>(NodeId)>;
 
-struct RunOptions {
-  std::uint64_t seed = 1;
+/// One election run's configuration: the engine's own (seed, max_rounds,
+/// congest, threads, adversary, metrics, ...) plus what the engine does not
+/// own.  Unlike a bare EngineConfig, CONGEST defaults to Count.
+struct RunOptions : EngineConfig {
+  RunOptions() { congest = CongestMode::Count; }
+
   IdScheme ids = IdScheme::RandomFromZ;
   bool anonymous = false;
   Knowledge knowledge;  ///< what every node is told (n / m / D)
   std::optional<std::vector<Round>> wakeup;  ///< default: simultaneous
-  Round max_rounds = 50'000'000;
-  CongestMode congest = CongestMode::Count;
-  std::vector<EdgeId> watch_edges;
-  /// Worker threads for round execution (EngineConfig::threads): 1 =
-  /// sequential, 0 = hardware concurrency.  Outcomes are identical at every
-  /// setting; only wall-clock changes.
-  unsigned threads = 1;
-  /// Override the engine's sequential-fallback cutoff (0 = engine default).
-  /// Mainly for tests that force tiny rounds onto the parallel path.
-  std::size_t parallel_cutoff = 0;
-  /// Seeded delivery/fault adversary (net/adversary.hpp).  Default = off.
-  AdversaryConfig adversary;
-  /// Override the engine's CONGEST bit budget (0 = engine default).  The
-  /// reliable registry variants raise it by kReliableHeaderBits — the ARQ
-  /// header is link-layer cost, not algorithm payload.
-  std::uint32_t congest_bits = 0;
   /// Reliable-transport knobs consumed by the `*_reliable` registry
   /// variants' prepare() (ignored by plain protocols).  rto == 0 = auto.
   ReliableConfig reliable;
-  /// Engine telemetry (net/metrics.hpp).  Default = off; when on,
-  /// ElectionReport::run.metrics carries the deterministic snapshot.
-  MetricsConfig metrics;
 };
 
 struct ElectionReport {
   RunResult run;
   ElectionVerdict verdict;
-  std::vector<WatchReport> watches;
   std::vector<Uid> uids;  ///< the assignment used (empty when anonymous)
   std::vector<Status> statuses;            ///< per-node final status
   std::vector<std::uint64_t> sent_by_node; ///< per-node send counts

@@ -11,8 +11,8 @@
 // information.
 //
 // Bridge-crossing (BC): any universal leader-election or broadcast algorithm
-// must move a message across a bridge; the engine's watch_edges hook observes
-// exactly that event.
+// must move a message across a bridge; first_crossing
+// (bounds/bridge_crossing.hpp) finds exactly that event in a run's trace.
 
 #pragma once
 

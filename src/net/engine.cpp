@@ -88,14 +88,6 @@ SyncEngine::SyncEngine(const Graph& g, EngineConfig cfg)
   sent_by_node_.assign(n, 0);
   for (NodeId s = 0; s < n; ++s) nodes_[s].rng = node_rng(cfg_.seed, s);
 
-  if (!cfg_.watch_edges.empty()) {
-    watch_index_.assign(graph_.m(), 0);
-    for (EdgeId e : cfg_.watch_edges) {
-      watch_reports_.push_back(WatchReport{e, kRoundForever, 0});
-      watch_index_[e] = static_cast<std::uint32_t>(watch_reports_.size());
-    }
-  }
-
   if (cfg_.congest != CongestMode::Off) {
     dir_port_offset_.resize(n + 1, 0);
     for (NodeId s = 0; s < n; ++s)
@@ -105,7 +97,6 @@ SyncEngine::SyncEngine(const Graph& g, EngineConfig cfg)
 
   congest_on_ = cfg_.congest != CongestMode::Off;
   tracing_ = cfg_.trace_limit > 0;
-  watching_ = !cfg_.watch_edges.empty();
   metrics_on_ = cfg_.metrics.enabled;
 
   const AdversaryConfig& adv = cfg_.adversary;
@@ -155,9 +146,9 @@ SyncEngine::SyncEngine(const Graph& g, EngineConfig cfg)
   threads_ = cfg_.threads != 0
                  ? cfg_.threads
                  : std::max(1u, std::thread::hardware_concurrency());
-  // Tracing and edge watches record *global send order*; runs using them
-  // stay sequential regardless of the thread setting.
-  parallel_ok_ = threads_ > 1 && !tracing_ && !watching_;
+  // The trace records the global execution order; traced runs stay
+  // sequential regardless of the thread setting.
+  parallel_ok_ = threads_ > 1 && !tracing_;
   lanes_.resize(parallel_ok_ ? threads_ : 1);
 }
 
@@ -175,18 +166,6 @@ void SyncEngine::set_wakeup(std::vector<Round> wake_rounds) {
 
 void SyncEngine::set_process(NodeId slot, std::unique_ptr<Process> p) {
   procs_[slot] = std::move(p);
-}
-
-std::uint64_t SyncEngine::messages_before(Round r) const {
-  // message_timeline_ is sorted by round (appended in execution order), so
-  // the answer is the cumulative count of the last entry strictly before r.
-  const auto it = std::lower_bound(
-      message_timeline_.begin(), message_timeline_.end(), r,
-      [](const std::pair<Round, std::uint64_t>& e, Round round) {
-        return e.first < round;
-      });
-  if (it == message_timeline_.begin()) return 0;
-  return std::prev(it)->second;
 }
 
 std::uint32_t SyncEngine::congest_budget() const {
@@ -231,24 +210,13 @@ const Graph::HalfEdge& SyncEngine::account_send(SendLane& lane, NodeId from,
     ev.node = from;
     ev.port = port;
     ev.peer = he.to;
-    ev.detail = flat_debug_string(msg);
+    ev.msg = msg;
     record(std::move(ev));
   }
 
   ++lane.messages;
   lane.bits += msg.bits;
   ++sent_by_node_[from];
-  if (watching_) [[unlikely]] {
-    if (const std::uint32_t wi = watch_index_[he.edge]; wi != 0) {
-      WatchReport& w = watch_reports_[wi - 1];
-      if (w.first_cross == kRoundForever) {
-        w.first_cross = round_;
-        // Watching forces sequential execution, so the global send count so
-        // far is the merged total plus this round's (single) lane.
-        w.messages_before_cross = result_.messages + lane.messages - 1;
-      }
-    }
-  }
   return he;
 }
 
@@ -723,9 +691,6 @@ RunResult SyncEngine::run() {
       }
     }
 
-    if (cfg_.record_message_timeline)
-      message_timeline_.emplace_back(round_, result_.messages);
-
     // Telemetry gauges, one sample per executed round, taken at a sequential
     // point after the lane merge: the runnable set, the wake heap (incl.
     // lazily deleted entries — heap content is identical at every thread
@@ -884,7 +849,7 @@ std::string format_trace(const SyncEngine& eng, std::size_t max_lines) {
       case TraceEvent::Kind::Send:
         out += "  n" + std::to_string(ev.node) + " -> n" +
                std::to_string(ev.peer) + " (port " + std::to_string(ev.port) +
-               "): " + ev.detail + "\n";
+               "): " + flat_debug_string(ev.msg) + "\n";
         break;
       case TraceEvent::Kind::StatusChange:
         out += "  n" + std::to_string(ev.node) + " status := " +

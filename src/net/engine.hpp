@@ -56,8 +56,8 @@
 // Chunk w precedes chunk w+1 in send order, so every inbox comes out in send
 // order at any thread count.  Rounds below EngineConfig::parallel_cutoff
 // runnable nodes stay on the sequential fast path (pool dispatch costs a few
-// microseconds; a quiescent ring round costs ~16 ns), as do runs with
-// order-dependent instrumentation (tracing, edge watches).
+// microseconds; a quiescent ring round costs ~16 ns), as do traced runs
+// (the trace records the global execution order).
 //
 // ADVERSARY (EngineConfig::adversary, net/adversary.hpp): a seeded oblivious
 // adversary can delay (bounded), drop, duplicate and reorder messages and
@@ -72,10 +72,12 @@
 // count.  With the adversary off (the default) the engine runs the exact
 // fault-free hot path — no adversary state is allocated or touched.
 //
-// Instrumentation: total messages and bits, per-node send counts, and *edge
-// watches* — per-edge records of the first round a message crossed, used to
-// operationalize the bridge-crossing (BC) problem from the Theorem 3.1
-// lower-bound proof.
+// Instrumentation: total messages and bits, per-node send counts, and the
+// trace (EngineConfig::trace_limit) — every wake, send (with its payload)
+// and status change in execution order.  Measures that depend on the global
+// send order read it off the trace: the bridge-crossing (BC) cost of the
+// Theorem 3.1 proof (bounds/bridge_crossing.hpp) and the majority-broadcast
+// cost of Corollary 3.12 (broadcast/broadcast.hpp).
 
 #pragma once
 
@@ -123,14 +125,11 @@ struct EngineConfig {
   std::uint32_t congest_bits = 0;
   bool fast_forward = true;
   /// Record up to this many TraceEvents (0 = tracing off).  Wakes, sends
-  /// (with payload debug strings) and status changes, in execution order —
-  /// the round-by-round story of a run, for debugging and teaching.
+  /// (with their payloads) and status changes, in execution order — the
+  /// round-by-round story of a run, and the global send order that the
+  /// bridge-crossing and majority-broadcast measures count in.  A traced run
+  /// executes sequentially at any thread count.
   std::size_t trace_limit = 0;
-  /// Record (round, cumulative messages) after every executed round — used
-  /// by e.g. the majority-broadcast experiment ("messages until > n/2
-  /// informed").
-  bool record_message_timeline = false;
-  std::vector<EdgeId> watch_edges;
   /// Worker threads for round execution and CSR bucketing.  1 = fully
   /// sequential (the exact legacy code path); 0 = hardware concurrency.
   /// Completed runs are bit-for-bit identical at every thread count.  On
@@ -295,7 +294,7 @@ struct TraceEvent {
   PortId port = kNoPort;   ///< Send only: the sending port
   NodeId peer = kNoNode;   ///< Send only: the receiving node
   Status status = Status::Undecided;  ///< StatusChange only
-  std::string detail;      ///< Send only: the payload's debug string
+  FlatMsg msg;             ///< Send only: the payload
 };
 
 // --- the parallel-merge seam (free functions so the fold order, counter
@@ -360,13 +359,6 @@ class SyncEngine;
 /// Render a recorded trace round-by-round (up to max_lines lines).
 std::string format_trace(const SyncEngine& eng, std::size_t max_lines = 200);
 
-/// First-crossing record for a watched edge (bridge-crossing experiments).
-struct WatchReport {
-  EdgeId edge = kNoEdge;
-  Round first_cross = kRoundForever;       ///< round of first traversal
-  std::uint64_t messages_before_cross = 0; ///< total sends strictly before it
-};
-
 class SyncEngine {
  public:
   SyncEngine(const Graph& g, EngineConfig cfg = {});
@@ -401,17 +393,9 @@ class SyncEngine {
   const RunResult& result() const { return result_; }
   std::uint64_t messages_sent() const { return result_.messages; }
   const std::vector<std::uint64_t>& sent_by_node() const { return sent_by_node_; }
-  const std::vector<WatchReport>& watch_reports() const { return watch_reports_; }
-  /// Requires cfg.record_message_timeline.
-  const std::vector<std::pair<Round, std::uint64_t>>& message_timeline() const {
-    return message_timeline_;
-  }
   /// Requires cfg.trace_limit > 0.  Truncated at trace_limit events.
   const std::vector<TraceEvent>& trace() const { return trace_; }
   bool trace_truncated() const { return trace_truncated_; }
-  /// Cumulative messages sent in rounds < r (requires timeline recording).
-  /// Binary search over the sorted timeline: O(log #executed-rounds).
-  std::uint64_t messages_before(Round r) const;
 
  private:
   enum class RunState : std::uint8_t { Unwoken, Running, Sleeping, Halted };
@@ -437,8 +421,8 @@ class SyncEngine {
 
   void do_send(SendLane& lane, NodeId from, PortId port, const FlatMsg& msg,
                const LinkHeader& link);
-  /// Send bookkeeping (congest, counters, watches, trace); returns the
-  /// traversed half-edge.
+  /// Send bookkeeping (congest, counters, trace); returns the traversed
+  /// half-edge.
   const Graph::HalfEdge& account_send(SendLane& lane, NodeId from, PortId port,
                                       const FlatMsg& msg);
   std::uint32_t congest_budget() const;
@@ -531,7 +515,7 @@ class SyncEngine {
   // buckets them (lane order = shard order = send order).
   std::vector<SendLane> lanes_;
   unsigned threads_ = 1;        // resolved worker count (cfg.threads, 0=hw)
-  bool parallel_ok_ = false;    // threads_>1 and no order-dependent instr.
+  bool parallel_ok_ = false;    // threads_>1 and not tracing
   std::unique_ptr<WorkerPool> pool_;            // spawned on first dense round
   // deliver_round's bucket sources, in inbox order (due ring slot, lanes).
   std::vector<std::vector<OutboundEnvelope>*> sources_;
@@ -569,7 +553,6 @@ class SyncEngine {
   // Hot-path branch hints, precomputed once (satellite: keep do_send lean).
   bool congest_on_ = false;
   bool tracing_ = false;
-  bool watching_ = false;
 
   // Adversary state (net/adversary.hpp).  Every flag below is false — and
   // every container empty — when cfg.adversary is inactive, so the fault-free
@@ -617,9 +600,6 @@ class SyncEngine {
   std::vector<TraceEvent> trace_;
   bool trace_truncated_ = false;
   std::vector<std::uint64_t> sent_by_node_;
-  std::vector<std::pair<Round, std::uint64_t>> message_timeline_;
-  std::vector<WatchReport> watch_reports_;
-  std::vector<std::uint32_t> watch_index_;     // edge -> index+1, 0 = none
   std::vector<Round> last_send_round_;         // per directed port
   std::vector<std::size_t> dir_port_offset_;   // node -> base directed index
   bool ran_ = false;

@@ -98,11 +98,10 @@ bool ServeClient::read_frame(Frame& out) {
   }
 }
 
-ServeClient::Submission ServeClient::submit(std::uint8_t flags,
-                                            const std::string& payload,
-                                            std::uint64_t tag,
-                                            std::uint8_t channel) {
-  send_frame(FrameType::SubmitJob, channel, flags, 0, tag, 0, payload);
+ServeClient::Submission ServeClient::submit_token(const std::string& token,
+                                                  std::uint64_t tag,
+                                                  std::uint8_t channel) {
+  send_frame(FrameType::SubmitJob, channel, 0, 0, tag, 0, token);
   Frame f;
   for (;;) {
     if (!read_frame(f))
@@ -135,18 +134,6 @@ ServeClient::Submission ServeClient::submit(std::uint8_t flags,
             to_string(static_cast<FrameType>(f.header.type)));
     }
   }
-}
-
-ServeClient::Submission ServeClient::submit_token(const std::string& token,
-                                                  std::uint64_t tag,
-                                                  std::uint8_t channel) {
-  return submit(0, token, tag, channel);
-}
-
-ServeClient::Submission ServeClient::submit_fields(const std::string& fields,
-                                                   std::uint64_t tag,
-                                                   std::uint8_t channel) {
-  return submit(kSubmitFields, fields, tag, channel);
 }
 
 ServeClient::JobReply ServeClient::await_result(std::uint64_t job_id) {

@@ -56,9 +56,6 @@ class ServeClient {
   /// accept are buffered for a later await_result().
   Submission submit_token(const std::string& token, std::uint64_t tag = 0,
                           std::uint8_t channel = 0);
-  /// Same, with an explicit-fields payload (serve::kSubmitFields).
-  Submission submit_fields(const std::string& fields, std::uint64_t tag = 0,
-                           std::uint8_t channel = 0);
 
   struct JobReply {
     bool ok = false;            ///< JobResult received (vs JobError)
@@ -75,9 +72,6 @@ class ServeClient {
   JobReply await_result(std::uint64_t job_id);
 
  private:
-  Submission submit(std::uint8_t flags, const std::string& payload,
-                    std::uint64_t tag, std::uint8_t channel);
-
   int fd_ = -1;
   FrameDecoder decoder_;
   std::deque<Frame> pending_;  ///< frames read while waiting for another

@@ -25,10 +25,8 @@
 // reference, including the submit and result payload grammars):
 //
 //   SubmitJob    client -> server.  payload = a `ule1:` replay token
-//                (docs/REPLAY.md), or — with kSubmitFields set — explicit
-//                `key=value;...` scenario fields the server assembles into a
-//                token.  b = client correlation tag, echoed in every frame
-//                the job produces.
+//                (docs/REPLAY.md); flags must be 0.  b = client correlation
+//                tag, echoed in every frame the job produces.
 //   JobAccepted  server -> client.  a = server job id, b = client tag,
 //                c = queue depth after enqueue.  No payload.
 //   JobReject    server -> client.  Backpressure: the bounded queue was full
@@ -75,9 +73,7 @@ enum class FrameType : std::uint16_t {
 };
 
 /// Frame flag bits (FrameHeader::flags).
-inline constexpr std::uint8_t kSubmitFields = 1;  ///< SubmitJob: payload is
-                                                  ///< key=value;... fields
-inline constexpr std::uint8_t kLastChunk = 1;     ///< StreamChunk: final chunk
+inline constexpr std::uint8_t kLastChunk = 1;  ///< StreamChunk: final chunk
 
 inline constexpr std::size_t kHeaderBytes = 32;
 /// Hard cap on a frame's payload; a decoded length above this is a protocol

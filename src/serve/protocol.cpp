@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "serve/frame.hpp"
-
 namespace ule::serve {
 
 namespace {
@@ -81,67 +79,10 @@ ResultCounters parse_result(const std::string& payload) {
 }
 
 Scenario parse_submit(const std::string& payload, std::uint8_t flags) {
-  if ((flags & kSubmitFields) == 0) return Scenario::parse(payload);
-
-  // Explicit fields: assemble a token, then reuse the one validation path.
-  // Scalar keys overwrite (last wins is an ERROR — the token parser's
-  // duplicate-segment rule extends here); unrecognized keys are family
-  // params in the order given.
-  std::string family, protocol, k = "none", w = "sim", s = "1", t = "1";
-  std::string a, f, r;
-  std::vector<std::pair<std::string, std::string>> params;
-  bool seen_family = false, seen_protocol = false, seen_k = false,
-       seen_w = false, seen_s = false, seen_t = false;
-  std::size_t pos = 0;
-  while (pos < payload.size()) {
-    std::size_t semi = payload.find(';', pos);
-    if (semi == std::string::npos) semi = payload.size();
-    const std::string item = payload.substr(pos, semi - pos);
-    pos = semi + 1;
-    if (item.empty()) continue;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos || eq == 0)
-      throw std::invalid_argument("submit field \"" + item +
-                                  "\" must be key=value");
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    const auto scalar = [&](std::string& slot, bool& seen) {
-      if (seen)
-        throw std::invalid_argument("duplicate submit field \"" + key + "\"");
-      seen = true;
-      slot = value;
-    };
-    if (key == "family") scalar(family, seen_family);
-    else if (key == "protocol") scalar(protocol, seen_protocol);
-    else if (key == "k") scalar(k, seen_k);
-    else if (key == "w") scalar(w, seen_w);
-    else if (key == "s") scalar(s, seen_s);
-    else if (key == "t") scalar(t, seen_t);
-    else if (key == "a" || key == "f" || key == "r") {
-      std::string& slot = key == "a" ? a : key == "f" ? f : r;
-      if (!slot.empty())
-        throw std::invalid_argument("duplicate submit field \"" + key + "\"");
-      slot = value;
-    } else {
-      params.emplace_back(key, value);
-    }
-  }
-  if (!seen_family || !seen_protocol)
-    throw std::invalid_argument(
-        "submit fields must name at least family=... and protocol=...");
-
-  std::string token = "ule1:" + family + "{";
-  bool first = true;
-  for (const auto& [name, value] : params) {
-    if (!first) token += ',';
-    first = false;
-    token += name + "=" + value;
-  }
-  token += "}:" + protocol + ":k=" + k + ":w=" + w + ":s=" + s + ":t=" + t;
-  if (!a.empty()) token += ":a=" + a;
-  if (!f.empty()) token += ":f=" + f;
-  if (!r.empty()) token += ":r=" + r;
-  return Scenario::parse(token);
+  if (flags != 0)
+    throw std::invalid_argument("unknown SubmitJob flags " +
+                                std::to_string(flags));
+  return Scenario::parse(payload);
 }
 
 }  // namespace ule::serve

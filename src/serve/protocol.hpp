@@ -3,17 +3,9 @@
 // line-oriented text — deterministic to the byte, diffable by eye, and
 // parseable without a JSON library on either end.
 //
-// Submit payload (SubmitJob):
-//   * default: a full `ule1:` replay token (docs/REPLAY.md) — the exact
-//     string the fuzzer prints and run_scenario replays.
-//   * with serve::kSubmitFields: explicit scenario fields as
-//     `key=value;key=value;...`.  Recognized keys: family, protocol, k, w,
-//     s, t (with the token grammar's value syntax) plus the optional a / f /
-//     r tails; every OTHER key is a family parameter, kept in the order
-//     given.  Example:
-//       family=ring;n=16;protocol=flood_max;k=none;w=sim;s=7;t=1
-//     The server assembles the fields into a token and parses it through
-//     Scenario::parse, so both forms hit the same validation path.
+// Submit payload (SubmitJob): a full `ule1:` replay token (docs/REPLAY.md) —
+// the exact string the fuzzer prints and run_scenario replays — parsed by
+// Scenario::parse.  SubmitJob defines no flag bits.
 //
 // Result payload (JobResult): the result grammar — one `name=value` line
 // per counter, in the fixed order result_counters() emits: the RunResult
@@ -50,9 +42,9 @@ std::string encode_result(const ResultCounters& counters);
 /// std::invalid_argument on a malformed line or a value past 2^64 - 1.
 ResultCounters parse_result(const std::string& payload);
 
-/// Interpret a SubmitJob payload (token or — when kSubmitFields is set —
-/// explicit fields) as a Scenario.  Throws std::invalid_argument with a
-/// client-facing diagnostic on malformed input.
+/// Interpret a SubmitJob payload (a replay token) as a Scenario.  Throws
+/// std::invalid_argument with a client-facing diagnostic on malformed input
+/// or on non-zero `flags` (SubmitJob defines none).
 Scenario parse_submit(const std::string& payload, std::uint8_t flags);
 
 /// FNV-1a over the per-node outcome vectors (statuses, then send counts):

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <memory>
 #include <utility>
 
 #include "election/flood_max.hpp"
@@ -10,6 +12,42 @@
 
 namespace ule {
 namespace {
+
+FlatMsg ping() {
+  FlatMsg m;
+  m.type = 1;
+  m.bits = 64;
+  m.a = 9;
+  return m;
+}
+
+TEST(BridgeCrossing, FirstCrossingReadsTheTrace) {
+  // 0-1-2: the crossing of edge (1,2); node 0 pings, node 1 relays.
+  const Graph g = Graph::from_edges(3, {{0, 1}, {1, 2}});
+  class Relay : public Process {
+   public:
+    void on_wake(Context& ctx, std::span<const Envelope>) override {
+      if (ctx.slot() == 0) ctx.send(0, ping());
+      ctx.idle();
+    }
+    void on_round(Context& ctx, std::span<const Envelope> inbox) override {
+      if (ctx.slot() == 1 && !inbox.empty()) {
+        for (PortId p = 0; p < ctx.degree(); ++p)
+          if (p != inbox[0].port) ctx.send(p, ping());
+      }
+      ctx.idle();
+    }
+  };
+  EngineConfig cfg;
+  cfg.trace_limit = 100;
+  SyncEngine eng(g, cfg);
+  eng.init_processes([](NodeId) { return std::make_unique<Relay>(); });
+  eng.run();
+  const EdgeId watched[] = {1};  // edge (1,2)
+  const FirstCrossing cross = first_crossing(eng, watched);
+  EXPECT_EQ(cross.round, 1u);            // relayed in round 1
+  EXPECT_EQ(cross.messages_before, 1u);  // only the original ping
+}
 
 TEST(BridgeCrossing, LeaderElectionAlwaysCrosses) {
   // A correct universal algorithm must achieve BC on every dumbbell —
@@ -81,6 +119,29 @@ TEST(BridgeCrossing, ReportsPerRunDetails) {
       left_edges += u < d.side_n && v < d.side_n;
     }
     EXPECT_EQ(sum.side_m, left_edges);
+  }
+
+  // Pinned per-run values: the opened edges and the first crossing
+  // (round, messages strictly before it) of every sample.  Flood-first
+  // least_el_all crosses in its wake-up round, so the count is the first
+  // bridge sender's position in round 0's send order.
+  struct Pinned {
+    std::size_t open_left, open_right;
+    Round first_cross;
+    std::uint64_t messages_before_cross;
+  };
+  const Pinned expected[] = {{2, 8, 0, 4},  {8, 6, 0, 14}, {0, 3, 0, 4},
+                             {3, 2, 0, 4},  {9, 3, 0, 19}, {3, 6, 0, 4}};
+  const auto least = run_bridge_crossing(
+      10, 15, make_least_el(LeastElConfig::all_candidates()), 6, 9);
+  ASSERT_EQ(least.runs.size(), std::size(expected));
+  for (std::size_t i = 0; i < least.runs.size(); ++i) {
+    const BridgeCrossingRun& r = least.runs[i];
+    EXPECT_EQ(r.open_left, expected[i].open_left) << "run " << i;
+    EXPECT_EQ(r.open_right, expected[i].open_right) << "run " << i;
+    EXPECT_EQ(r.first_cross, expected[i].first_cross) << "run " << i;
+    EXPECT_EQ(r.messages_before_cross, expected[i].messages_before_cross)
+        << "run " << i;
   }
 }
 

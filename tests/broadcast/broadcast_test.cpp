@@ -2,12 +2,44 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "graphgen/dumbbell.hpp"
 #include "graphgen/generators.hpp"
 #include "graphgen/graph_algos.hpp"
 
 namespace ule {
 namespace {
+
+TEST(Broadcast, SendsBeforeReadsTheTrace) {
+  const Graph g = Graph::from_edges(2, {{0, 1}});
+  class Chatter : public Process {
+   public:
+    static FlatMsg one() {
+      FlatMsg m;
+      m.type = 1;
+      m.bits = 64;
+      m.a = 1;
+      return m;
+    }
+    void on_wake(Context& ctx, std::span<const Envelope>) override {
+      ctx.send(0, one());
+    }
+    void on_round(Context& ctx, std::span<const Envelope>) override {
+      if (ctx.round() < 3) ctx.send(0, one());
+      else ctx.idle();
+    }
+  };
+  EngineConfig cfg;
+  cfg.trace_limit = 100;
+  SyncEngine eng(g, cfg);
+  eng.init_processes([](NodeId) { return std::make_unique<Chatter>(); });
+  eng.run();
+  // Rounds 0,1,2 send 2 messages each.
+  EXPECT_EQ(sends_before(eng, 1), 2u);
+  EXPECT_EQ(sends_before(eng, 2), 4u);
+  EXPECT_EQ(sends_before(eng, 100), 6u);
+}
 
 TEST(Broadcast, ReachesEveryone) {
   for (const Graph& g : {make_cycle(20), make_grid(4, 5), make_star(15)}) {
@@ -42,6 +74,18 @@ TEST(Broadcast, MajorityCountsFewerMessagesThanTotal) {
   EXPECT_LT(rep.round_majority, rep.rounds_total);
   EXPECT_LT(rep.messages_majority, rep.messages_total);
   EXPECT_GT(rep.messages_majority, 0u);
+}
+
+TEST(Broadcast, MajorityCostIsPinned) {
+  // One fixed instance: the majority is informed in round 2, and the sends
+  // of rounds 0 and 1 are the majority cost.
+  Rng rng(1);
+  const Graph g = make_random_connected(50, 300, rng);
+  const auto rep = run_broadcast(g, 3, 2);
+  EXPECT_EQ(rep.round_majority, 2u);
+  EXPECT_EQ(rep.messages_majority, 234u);
+  EXPECT_EQ(rep.messages_total, 1102u);
+  EXPECT_EQ(rep.rounds_total, 7u);
 }
 
 TEST(Broadcast, MajorityOnDumbbellStillCostsOmegaM) {

@@ -23,28 +23,18 @@ struct ExplicitOutcome {
 };
 
 ExplicitOutcome run_explicit(const Graph& g, const ProcessFactory& inner,
-                             RunOptions opt) {
-  EngineConfig cfg;
-  cfg.seed = opt.seed;
-  cfg.max_rounds = opt.max_rounds;
-  cfg.congest = opt.congest;
-  SyncEngine eng(g, cfg);
-  if (!opt.anonymous) {
-    Rng id_rng(opt.seed ^ 0x1D5B1D5B1D5B1D5BULL);
-    eng.set_uids(assign_ids(g.n(), opt.ids, id_rng));
-  }
-  eng.set_knowledge(opt.knowledge);
-  eng.init_processes(make_explicit(inner));
+                             const RunOptions& opt) {
   ExplicitOutcome out;
-  out.rep.run = eng.run();
-  out.rep.verdict = judge_election(eng);
-  for (NodeId s = 0; s < g.n(); ++s) {
-    const auto* p = dynamic_cast<const ExplicitProcess*>(eng.process(s));
-    if (p->known_leader().has_value()) {
-      ++out.know_count;
-      out.learned.insert(*p->known_leader());
+  const auto inspect = [&out](const SyncEngine& eng) {
+    for (NodeId s = 0; s < eng.graph().n(); ++s) {
+      const auto* p = dynamic_cast<const ExplicitProcess*>(eng.process(s));
+      if (p->known_leader().has_value()) {
+        ++out.know_count;
+        out.learned.insert(*p->known_leader());
+      }
     }
-  }
+  };
+  out.rep = run_election(g, make_explicit(inner), opt, inspect);
   return out;
 }
 

@@ -201,57 +201,6 @@ TEST(Engine, CongestEnforcesMessageSize) {
   EXPECT_THROW(eng.run(), std::runtime_error);
 }
 
-TEST(Engine, WatchEdgesRecordFirstCrossing) {
-  // 0-1-2: watch edge (1,2); node 0 pings, node 1 relays.
-  const Graph g = Graph::from_edges(3, {{0, 1}, {1, 2}});
-  class Relay : public Process {
-   public:
-    void on_wake(Context& ctx, std::span<const Envelope>) override {
-      if (ctx.slot() == 0) ctx.send(0, tm(9));
-      ctx.idle();
-    }
-    void on_round(Context& ctx, std::span<const Envelope> inbox) override {
-      if (ctx.slot() == 1 && !inbox.empty()) {
-        for (PortId p = 0; p < ctx.degree(); ++p)
-          if (p != inbox[0].port) ctx.send(p, tm(9));
-      }
-      ctx.idle();
-    }
-  };
-  EngineConfig cfg;
-  cfg.watch_edges = {1};  // edge (1,2)
-  SyncEngine eng(g, cfg);
-  eng.init_processes([](NodeId) { return std::make_unique<Relay>(); });
-  eng.run();
-  ASSERT_EQ(eng.watch_reports().size(), 1u);
-  const WatchReport& w = eng.watch_reports()[0];
-  EXPECT_EQ(w.first_cross, 1u);             // relayed in round 1
-  EXPECT_EQ(w.messages_before_cross, 1u);   // only the original ping
-}
-
-TEST(Engine, MessageTimelineAndMessagesBefore) {
-  const Graph g = path2();
-  class Chatter : public Process {
-   public:
-    void on_wake(Context& ctx, std::span<const Envelope>) override {
-      ctx.send(0, tm(1));
-    }
-    void on_round(Context& ctx, std::span<const Envelope>) override {
-      if (ctx.round() < 3) ctx.send(0, tm(1));
-      else ctx.idle();
-    }
-  };
-  EngineConfig cfg;
-  cfg.record_message_timeline = true;
-  SyncEngine eng(g, cfg);
-  eng.init_processes([](NodeId) { return std::make_unique<Chatter>(); });
-  eng.run();
-  // Rounds 0,1,2 send 2 messages each.
-  EXPECT_EQ(eng.messages_before(1), 2u);
-  EXPECT_EQ(eng.messages_before(2), 4u);
-  EXPECT_EQ(eng.messages_before(100), 6u);
-}
-
 TEST(Engine, MaxRoundsStopsRun) {
   const Graph g = path2();
   class Forever : public Process {

@@ -101,7 +101,7 @@ TEST(Reliable, FramesBillTheHeaderAndTheInnerSeesItsOwnBits) {
   EXPECT_EQ(res.bits, (64u + 72u) + 72u);
   std::vector<std::string> sends;
   for (const TraceEvent& ev : run.eng->trace())
-    if (ev.kind == TraceEvent::Kind::Send) sends.push_back(ev.detail);
+    if (ev.kind == TraceEvent::Kind::Send) sends.push_back(flat_debug_string(ev.msg));
   ASSERT_EQ(sends.size(), 2u);
   EXPECT_EQ(sends[1], flat_debug_string(FlatMsg{kReliableAckType,
                                                 kReliableAckChannel}));

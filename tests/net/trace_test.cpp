@@ -1,4 +1,4 @@
-// Engine execution tracing: wakes, sends (with payload debug strings) and
+// Engine execution tracing: wakes, sends (with their payloads) and
 // status changes, recorded in execution order and rendered round-by-round.
 
 #include <gtest/gtest.h>
@@ -7,6 +7,7 @@
 
 #include "election/flood_max.hpp"
 #include "graphgen/generators.hpp"
+#include "helpers.hpp"
 #include "net/engine.hpp"
 
 namespace ule {
@@ -27,6 +28,7 @@ SyncEngine traced_run(const Graph& g, std::size_t limit) {
 TEST(Trace, OffByDefault) {
   const Graph g = make_path(4);
   EngineConfig cfg;
+  cfg.seed = 2;
   SyncEngine eng(g, cfg);
   Rng id_rng(8);
   eng.set_uids(assign_ids(g.n(), IdScheme::Sequential, id_rng));
@@ -34,6 +36,14 @@ TEST(Trace, OffByDefault) {
   eng.run();
   EXPECT_TRUE(eng.trace().empty());
   EXPECT_FALSE(eng.trace_truncated());
+
+  // Recording perturbs nothing: the traced twin has the same counters and
+  // the same per-node send counts.
+  const SyncEngine traced = traced_run(g, 10'000);
+  EXPECT_FALSE(traced.trace().empty());
+  EXPECT_FALSE(traced.trace_truncated());
+  EXPECT_TRUE(testing::same_counters(eng.result(), traced.result()));
+  EXPECT_EQ(eng.sent_by_node(), traced.sent_by_node());
 }
 
 TEST(Trace, RecordsWakesSendsAndStatusChanges) {
@@ -72,7 +82,8 @@ TEST(Trace, SendEventsCarryEndpointsAndPayload) {
     EXPECT_LT(ev.node, 2u);
     EXPECT_LT(ev.peer, 2u);
     EXPECT_NE(ev.node, ev.peer);
-    EXPECT_FALSE(ev.detail.empty());
+    EXPECT_NE(ev.msg.type, 0u);
+    EXPECT_FALSE(flat_debug_string(ev.msg).empty());
   }
   EXPECT_TRUE(saw_send);
 }

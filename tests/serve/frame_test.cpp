@@ -226,36 +226,14 @@ TEST(ResultGrammar, RoundTripsAndRejectsMalformedLines) {
                std::invalid_argument);
 }
 
-TEST(SubmitGrammar, TokenAndFieldFormsParseToTheSameScenario) {
+TEST(SubmitGrammar, TokenIsTheOnlyPayloadForm) {
   const std::string token =
       "ule1:gnm{n=20,m=40}:least_el_all:k=n:w=rand.10:s=77:t=2";
-  const Scenario from_token = parse_submit(token, 0);
-  const Scenario from_fields = parse_submit(
-      "family=gnm;n=20;m=40;protocol=least_el_all;k=n;w=rand.10;s=77;t=2",
-      kSubmitFields);
-  EXPECT_EQ(from_token, from_fields);
-  EXPECT_EQ(from_fields.encode(), token);
-}
-
-TEST(SubmitGrammar, FieldFormCarriesAdversaryAndReliableTails) {
-  const std::string token =
-      "ule1:ring{n=12}:flood_max_reliable:k=none:w=sim:s=5:t=1"
-      ":a=2.100.0.0.9:f=3@4-7:r=6.0";
-  const Scenario s = parse_submit(
-      "family=ring;n=12;protocol=flood_max_reliable;k=none;w=sim;s=5;t=1;"
-      "a=2.100.0.0.9;f=3@4-7;r=6.0",
-      kSubmitFields);
-  EXPECT_EQ(s.encode(), token);
-}
-
-TEST(SubmitGrammar, FieldFormRejectsDuplicatesAndMissingKeys) {
-  EXPECT_THROW(parse_submit("family=ring;n=8;family=path;protocol=flood_max",
-                            kSubmitFields),
-               std::invalid_argument);
-  EXPECT_THROW(parse_submit("protocol=flood_max", kSubmitFields),
-               std::invalid_argument);
-  EXPECT_THROW(parse_submit("", kSubmitFields), std::invalid_argument);
+  EXPECT_EQ(parse_submit(token, 0).encode(), token);
   EXPECT_THROW(parse_submit("not a token", 0), std::invalid_argument);
+  // SubmitJob defines no flag bits: a set one is a malformed submit, never
+  // another payload grammar.
+  EXPECT_THROW(parse_submit(token, 1), std::invalid_argument);
 }
 
 }  // namespace

@@ -109,6 +109,33 @@ TEST(ElectionServerTest, MalformedTokenGetsJobErrorAndSessionStaysOpen) {
   EXPECT_EQ(server.stats().errors, 1u);
 }
 
+TEST(ElectionServerTest, UnknownSubmitFlagsGetJobErrorAndSessionStaysOpen) {
+  ElectionServer server;
+  server.start();
+  ServeClient client;
+  client.connect("127.0.0.1", server.port());
+
+  // A valid token, but with a flag bit SubmitJob does not define.
+  client.send_frame(FrameType::SubmitJob, 0, /*flags=*/1, 0, /*tag=*/8, 0,
+                    kToken);
+  Frame f;
+  ASSERT_TRUE(client.read_frame(f));
+  EXPECT_EQ(f.header.type, static_cast<std::uint16_t>(FrameType::JobError));
+  EXPECT_EQ(f.header.a, 0u);
+  EXPECT_EQ(f.header.b, 8u);
+  EXPECT_NE(f.payload.find("unknown SubmitJob flags"), std::string::npos)
+      << f.payload;
+
+  const auto sub = client.submit_token(kToken);
+  ASSERT_TRUE(sub.accepted);
+  EXPECT_TRUE(client.await_result(sub.job_id).ok);
+
+  server.request_shutdown();
+  server.wait();
+  EXPECT_EQ(server.stats().accepted, 1u);
+  EXPECT_EQ(server.stats().errors, 1u);
+}
+
 TEST(ElectionServerTest, MalformedFrameGetsJobErrorThenClose) {
   ElectionServer server;
   server.start();
