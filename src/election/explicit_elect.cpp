@@ -4,44 +4,20 @@
 
 namespace ule {
 
-// A Context that passes everything through to the engine's context except
-// the scheduling verbs (idle/sleep/halt) and set_status, which are captured
-// so the wrapper can arbitrate between the inner algorithm's wishes and its
-// own announcement duties.
-class ExplicitProcess::PassThroughCtx final : public Context {
+// The inner algorithm's status passes through, and the wrapper notices the
+// moment it becomes Elected; everything else is the shared pass-through.
+class ExplicitProcess::ElectionCtx final : public InnerCtx {
  public:
-  PassThroughCtx(Context& real, ExplicitProcess::Wish& wish, Round& deadline,
-                 bool& elected)
-      : real_(real), wish_(wish), deadline_(deadline), elected_(elected) {}
-
-  NodeId slot() const override { return real_.slot(); }
-  std::size_t degree() const override { return real_.degree(); }
-  bool anonymous() const override { return real_.anonymous(); }
-  Uid uid() const override { return real_.uid(); }
-  Round round() const override { return real_.round(); }
-  Rng& rng() override { return real_.rng(); }
-  const Knowledge& knowledge() const override { return real_.knowledge(); }
-  void send(PortId port, const FlatMsg& msg, const LinkHeader& link) override {
-    real_.send(port, msg, link);
-  }
-  Status status() const override { return real_.status(); }
+  ElectionCtx(Context& real, ExplicitProcess& owner)
+      : InnerCtx(real, owner), owner_(owner) {}
 
   void set_status(Status s) override {
     real_.set_status(s);
-    if (s == Status::Elected) elected_ = true;
+    if (s == Status::Elected) owner_.inner_elected_ = true;
   }
-  void idle() override { wish_ = Wish::Idle; }
-  void sleep_until(Round r) override {
-    wish_ = Wish::Sleep;
-    deadline_ = r;
-  }
-  void halt() override { wish_ = Wish::Halt; }
 
  private:
-  Context& real_;
-  ExplicitProcess::Wish& wish_;
-  Round& deadline_;
-  bool& elected_;
+  ExplicitProcess& owner_;
 };
 
 void ExplicitProcess::announce(Context& ctx, std::uint64_t token,
@@ -54,8 +30,8 @@ void ExplicitProcess::announce(Context& ctx, std::uint64_t token,
   }
 }
 
-void ExplicitProcess::run_inner(Context& ctx, std::span<const Envelope> inbox,
-                                bool wake) {
+void ExplicitProcess::run_step(Context& ctx, std::span<const Envelope> inbox,
+                               bool wake) {
   // Split the inbox: announcements are the wrapper's, the rest is the inner
   // algorithm's.
   std::vector<Envelope> inner_inbox;
@@ -76,22 +52,8 @@ void ExplicitProcess::run_inner(Context& ctx, std::span<const Envelope> inbox,
     announce(ctx, announce_token, first_announce_port);
   }
 
-  // Deliver the round to the inner algorithm only when the engine itself
-  // would have: it never slept, it has messages, or its deadline fired.
-  const bool due =
-      wake || inner_wish_ == Wish::Running || !inner_inbox.empty() ||
-      (inner_wish_ == Wish::Sleep && ctx.round() >= inner_deadline_);
-  if (due && inner_wish_ != Wish::Halt) {
-    inner_wish_ = Wish::Running;
-    bool elected_now = false;
-    PassThroughCtx pc(ctx, inner_wish_, inner_deadline_, elected_now);
-    if (wake) {
-      inner_->on_wake(pc, inner_inbox);
-    } else {
-      inner_->on_round(pc, inner_inbox);
-    }
-    if (elected_now) inner_elected_ = true;
-  }
+  ElectionCtx ec(ctx, *this);
+  step_inner(ec, inner_inbox, wake);
 
   // The moment this node wins the inner election, announce its identity.
   if (inner_elected_ && !announced_) {
@@ -105,14 +67,14 @@ void ExplicitProcess::run_inner(Context& ctx, std::span<const Envelope> inbox,
   // the flood).
   const bool backlog = outbox_.flush(ctx);
   if (backlog) return;  // stay runnable
-  switch (inner_wish_) {
+  switch (inner_wish()) {
     case Wish::Running:
       return;
     case Wish::Idle:
       ctx.idle();
       return;
     case Wish::Sleep:
-      ctx.sleep_until(inner_deadline_);
+      ctx.sleep_until(inner_deadline());
       return;
     case Wish::Halt:
       if (known_leader_.has_value()) {
@@ -122,14 +84,6 @@ void ExplicitProcess::run_inner(Context& ctx, std::span<const Envelope> inbox,
       }
       return;
   }
-}
-
-void ExplicitProcess::on_wake(Context& ctx, std::span<const Envelope> inbox) {
-  run_inner(ctx, inbox, /*wake=*/true);
-}
-
-void ExplicitProcess::on_round(Context& ctx, std::span<const Envelope> inbox) {
-  run_inner(ctx, inbox, /*wake=*/false);
 }
 
 ProcessFactory make_explicit(ProcessFactory inner) {

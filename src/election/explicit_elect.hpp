@@ -8,11 +8,11 @@
 // election algorithms here.
 //
 // ExplicitProcess wraps ANY implicit election process: it runs the inner
-// algorithm unchanged (through a pass-through Context) and, the moment the
-// inner algorithm sets status Elected at some node, that node floods a
-// LEADER(id) announcement.  Every node forwards it once, so the overlay
-// cost is exactly one message per edge direction, 2m in total, plus O(D)
-// extra rounds.  In anonymous networks the winner announces a fresh random
+// algorithm unchanged (through the shared wrapper driver,
+// net/wrapped_process.hpp) and, the moment the inner algorithm sets status
+// Elected at some node, that node floods a LEADER(id) announcement.  Every
+// node forwards it once, so the overlay cost is exactly one message per edge
+// direction, 2m in total, plus O(D) extra rounds.  In anonymous networks the winner announces a fresh random
 // 64-bit token instead of an ID (the identity every node learns is that
 // token — the strongest "explicit" guarantee possible without identifiers).
 //
@@ -30,7 +30,7 @@
 #include "election/channels.hpp"
 #include "election/election.hpp"
 #include "net/outbox.hpp"
-#include "net/process.hpp"
+#include "net/wrapped_process.hpp"
 
 namespace ule {
 
@@ -54,42 +54,27 @@ inline bool is_leader(const Envelope& env) {
 }
 }  // namespace explicitwire
 
-class ExplicitProcess final : public Process {
+class ExplicitProcess final : public WrappedProcess {
  public:
   explicit ExplicitProcess(std::unique_ptr<Process> inner)
-      : inner_(std::move(inner)) {}
-
-  void on_wake(Context& ctx, std::span<const Envelope> inbox) override;
-  void on_round(Context& ctx, std::span<const Envelope> inbox) override;
-
-  /// The overlay owns no counters of its own; keep the inner observable.
-  void export_metrics(MetricsSink& sink) const override {
-    inner_->export_metrics(sink);
-  }
+      : WrappedProcess(std::move(inner)) {}
 
   /// The leader identity this node learned (nullopt until the announcement
   /// reaches it).  Under unique IDs this is the leader's uid; in anonymous
   /// networks it is the winner's announcement token.
   std::optional<std::uint64_t> known_leader() const { return known_leader_; }
 
-  const Process* inner() const { return inner_.get(); }
-
  private:
-  class PassThroughCtx;
-  /// The inner algorithm's last scheduling verb (it persists across rounds:
-  /// an idle process stays idle until a message arrives).
-  enum class Wish : std::uint8_t { Running, Idle, Sleep, Halt };
+  class ElectionCtx;
 
-  void run_inner(Context& ctx, std::span<const Envelope> inbox, bool wake);
+  void run_step(Context& ctx, std::span<const Envelope> inbox,
+                bool wake) override;
   void announce(Context& ctx, std::uint64_t token, PortId skip);
 
-  std::unique_ptr<Process> inner_;
   PortOutbox outbox_;
   std::optional<std::uint64_t> known_leader_;
   bool announced_ = false;        ///< we already forwarded/originated
   bool inner_elected_ = false;
-  Wish inner_wish_ = Wish::Running;
-  Round inner_deadline_ = 0;
 };
 
 /// Wrap an implicit-election factory into an explicit-election factory.

@@ -232,12 +232,14 @@ std::string registry_markdown(const ProtocolRegistry& protocols,
         "safety (never two leaders)\nmust still hold.  Knowledge is the "
         "chain none < n < nd < nmd.\n\nThe *safe-under* mask lists the "
         "adversary fault classes under which safety is\ndeclared (and "
-        "fuzzed) to hold; *async-live* says whether termination survives\n"
-        "loss-free bounded delay ([ADVERSARY.md](ADVERSARY.md)).\n\n";
+        "fuzzed) to hold.  Every protocol terminates under loss-free\n"
+        "bounded delay and reorder; *reliable transport* protocols also "
+        "terminate\nunder loss up to 600‰ and bounded churn "
+        "([ADVERSARY.md](ADVERSARY.md)).\n\n";
   md += "| protocol | contract | min knowledge | wakeup-tolerant | "
-        "complete-only | explicit overlay | safe under | async-live | "
+        "complete-only | explicit overlay | safe under | "
         "reliable transport |\n";
-  md += "|---|---|---|---|---|---|---|---|---|\n";
+  md += "|---|---|---|---|---|---|---|---|\n";
   for (const ProtocolInfo& p : protocols.all()) {
     md += "| `" + p.name + "` | " + to_string(p.contract) + " | " +
           to_string(p.min_knowledge) + " | " +
@@ -245,7 +247,6 @@ std::string registry_markdown(const ProtocolRegistry& protocols,
           (p.needs_complete ? "yes" : "no") + " | " +
           (p.explicit_overlay ? "yes" : "no") + " | " +
           safe_under_cell(p.safe_under) + " | " +
-          (p.live_under_async ? "yes" : "no") + " | " +
           (p.reliable_transport ? "yes" : "no") + " |\n";
   }
   md += "\n";

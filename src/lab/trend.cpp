@@ -179,8 +179,8 @@ TrendReport compare_lab_trend(const std::string& baseline_json,
                                " present in only one document");
         continue;
       }
-      const double denom = std::max(std::abs(vb), 1.0);
-      if (vb != vc && std::abs(vb - vc) > cfg.counter_rel_tol * denom)
+      // Counter statistics are pure functions of the master seed: exact.
+      if (vb != vc)
         rep.errors.push_back(key + ": " + field + " drifted " +
                              std::to_string(vb) + " -> " +
                              std::to_string(vc));

@@ -31,9 +31,6 @@ struct TrendConfig {
   /// feeds the near-zero band verdict, so both are load-bearing (anything
   /// past cross-platform libm noise is real drift).
   double exponent_tol = 0.05;
-  /// Relative tolerance on deterministic counter statistics.  0 = exact:
-  /// counters are pure functions of the master seed.
-  double counter_rel_tol = 0.0;
   /// Permit baseline rows with no counterpart in the current document.
   bool allow_missing = false;
 };

@@ -51,8 +51,6 @@ void Graph::shuffle_ports(Rng& rng) {
   }
   // Rebuild rev: for each directed half-edge (u -> v via port p, edge e),
   // find v's port carrying edge e.
-  std::vector<std::vector<PortId>> port_of_edge_at(adj_.size());
-  // edge -> port at each endpoint; use a flat map keyed by edge id per node.
   std::vector<PortId> port_at_u(endpoints_.size(), kNoPort);
   std::vector<PortId> port_at_v(endpoints_.size(), kNoPort);
   for (NodeId u = 0; u < adj_.size(); ++u) {

@@ -12,48 +12,25 @@ namespace {
 constexpr FlatMsg kPureAck{kReliableAckType, kReliableAckChannel};
 }  // namespace
 
-// A Context that passes everything through to the engine's context except
-// sends (captured into the per-port ARQ queues) and the scheduling verbs
-// (captured so the wrapper can arbitrate between the inner algorithm's
-// wishes and its own retransmit deadlines).  Same shape as ExplicitProcess's
-// PassThroughCtx — the wrapper relies only on the public Process/Context
-// interface, so it composes with every algorithm in the registry.
-class ReliableProcess::CaptureCtx final : public Context {
+// The inner protocol's sends feed the per-port ARQ queues; everything else
+// is the shared pass-through.  The inner protocol's link header stays zero;
+// the wrapper writes its own.
+class ReliableProcess::LinkCtx final : public InnerCtx {
  public:
-  CaptureCtx(Context& real, ReliableProcess& owner)
-      : real_(real), owner_(owner) {}
+  LinkCtx(Context& real, ReliableProcess& owner)
+      : InnerCtx(real, owner), owner_(owner) {}
 
-  NodeId slot() const override { return real_.slot(); }
-  std::size_t degree() const override { return real_.degree(); }
-  bool anonymous() const override { return real_.anonymous(); }
-  Uid uid() const override { return real_.uid(); }
-  Round round() const override { return real_.round(); }
-  Rng& rng() override { return real_.rng(); }
-  const Knowledge& knowledge() const override { return real_.knowledge(); }
-
-  // The inner protocol's link header stays zero; the wrapper writes its own.
   void send(PortId port, const FlatMsg& msg, const LinkHeader&) override {
     owner_.enqueue_data(port, msg, real_.round());
   }
 
-  void set_status(Status s) override { real_.set_status(s); }
-  Status status() const override { return real_.status(); }
-
-  void idle() override { owner_.inner_wish_ = Wish::Idle; }
-  void sleep_until(Round r) override {
-    owner_.inner_wish_ = Wish::Sleep;
-    owner_.inner_deadline_ = r;
-  }
-  void halt() override { owner_.inner_wish_ = Wish::Halt; }
-
  private:
-  Context& real_;
   ReliableProcess& owner_;
 };
 
 ReliableProcess::ReliableProcess(std::unique_ptr<Process> inner,
                                  ReliableConfig cfg)
-    : inner_(std::move(inner)), cfg_(cfg) {
+    : WrappedProcess(std::move(inner)), cfg_(cfg) {
   if (cfg_.rto == 0) cfg_.rto = kReliableDefaultRto;
   if (cfg_.backoff_cap == 0) cfg_.backoff_cap = 8 * cfg_.rto;
   if (cfg_.backoff_cap < cfg_.rto) cfg_.backoff_cap = cfg_.rto;
@@ -235,23 +212,10 @@ void ReliableProcess::run_step(Context& ctx, std::span<const Envelope> inbox,
   inner_inbox.reserve(inbox.size());
   ingest(ctx, inbox, inner_inbox);
 
-  // Deliver the round to the inner algorithm only when the engine itself
-  // would have: it never slept, it has (reassembled) messages, or its
-  // deadline fired.  A pure retransmit wake must NOT step a sleeping inner —
-  // protocols that sleep on a round deadline would see a spurious early
-  // round.
-  const bool due =
-      wake || inner_wish_ == Wish::Running || !inner_inbox.empty() ||
-      (inner_wish_ == Wish::Sleep && ctx.round() >= inner_deadline_);
-  if (due && inner_wish_ != Wish::Halt) {
-    inner_wish_ = Wish::Running;
-    CaptureCtx cc(ctx, *this);
-    if (wake) {
-      inner_->on_wake(cc, inner_inbox);
-    } else {
-      inner_->on_round(cc, inner_inbox);
-    }
-  }
+  // The inner sees the reassembled messages; a pure retransmit or ack wake
+  // does not step it.
+  LinkCtx lc(ctx, *this);
+  step_inner(lc, inner_inbox, wake);
 
   flush(ctx);
 
@@ -265,11 +229,11 @@ void ReliableProcess::run_step(Context& ctx, std::span<const Envelope> inbox,
     my_wake = std::min(my_wake, ps.rto_deadline);
 
   Round inner_wake = kRoundForever;
-  switch (inner_wish_) {
+  switch (inner_wish()) {
     case Wish::Running:
       return;  // inner stays runnable; deadlines are checked every round
     case Wish::Sleep:
-      inner_wake = inner_deadline_;
+      inner_wake = inner_deadline();
       break;
     case Wish::Idle:
     case Wish::Halt:
@@ -283,14 +247,6 @@ void ReliableProcess::run_step(Context& ctx, std::span<const Envelope> inbox,
   }
 }
 
-void ReliableProcess::on_wake(Context& ctx, std::span<const Envelope> inbox) {
-  run_step(ctx, inbox, /*wake=*/true);
-}
-
-void ReliableProcess::on_round(Context& ctx, std::span<const Envelope> inbox) {
-  run_step(ctx, inbox, /*wake=*/false);
-}
-
 void ReliableProcess::export_metrics(MetricsSink& sink) const {
   sink.counter("arq.retransmissions", retransmissions_);
   sink.counter("arq.duplicate_drops", duplicate_drops_);
@@ -299,7 +255,7 @@ void ReliableProcess::export_metrics(MetricsSink& sink) const {
   sink.counter("arq.dead_link_drops", dead_link_drops_);
   sink.counter("arq.healed_links", healed_links_);
   sink.counter("arq.stale_epoch_drops", stale_epoch_drops_);
-  inner_->export_metrics(sink);
+  WrappedProcess::export_metrics(sink);
 }
 
 std::function<std::unique_ptr<Process>(NodeId)> make_reliable(

@@ -74,7 +74,7 @@
 #include <vector>
 
 #include "net/message.hpp"
-#include "net/process.hpp"
+#include "net/wrapped_process.hpp"
 
 namespace ule {
 
@@ -112,17 +112,13 @@ inline constexpr std::uint32_t kReliableDefaultRto = 4;
 
 /// Wraps any Process with the reliable link layer.  One instance per node;
 /// per-port sender/receiver state is sized lazily from the node's degree.
-class ReliableProcess final : public Process {
+class ReliableProcess final : public WrappedProcess {
  public:
   ReliableProcess(std::unique_ptr<Process> inner, ReliableConfig cfg);
-
-  void on_wake(Context& ctx, std::span<const Envelope> inbox) override;
-  void on_round(Context& ctx, std::span<const Envelope> inbox) override;
 
   /// Reports the arq.* counters below and forwards to the inner process.
   void export_metrics(MetricsSink& sink) const override;
 
-  const Process* inner() const { return inner_.get(); }
   const ReliableConfig& config() const { return cfg_; }
 
   /// Retransmissions performed so far (diagnostics/tests).
@@ -149,10 +145,7 @@ class ReliableProcess final : public Process {
   std::uint64_t stale_epoch_drops() const { return stale_epoch_drops_; }
 
  private:
-  class CaptureCtx;
-  /// The inner algorithm's last scheduling verb (persists across rounds; an
-  /// idle inner process stays idle until a message arrives).
-  enum class Wish : std::uint8_t { Running, Idle, Sleep, Halt };
+  class LinkCtx;
 
   struct Unacked {
     std::uint32_t seq = 0;
@@ -181,7 +174,8 @@ class ReliableProcess final : public Process {
     bool ack_due = false;        ///< ack news with no data to ride on yet
   };
 
-  void run_step(Context& ctx, std::span<const Envelope> inbox, bool wake);
+  void run_step(Context& ctx, std::span<const Envelope> inbox,
+                bool wake) override;
   void ingest(Context& ctx, std::span<const Envelope> inbox,
               std::vector<Envelope>& inner_inbox);
   void enqueue_data(PortId port, const FlatMsg& msg, Round now);
@@ -195,11 +189,8 @@ class ReliableProcess final : public Process {
   Round interval(std::uint32_t attempts) const;
   void arm_deadline(PortState& ps, Round now) const;
 
-  std::unique_ptr<Process> inner_;
   ReliableConfig cfg_;
   std::vector<PortState> ports_;
-  Wish inner_wish_ = Wish::Running;
-  Round inner_deadline_ = 0;
   std::uint64_t retransmissions_ = 0;
   std::uint64_t duplicate_drops_ = 0;
   std::uint64_t parked_frames_ = 0;

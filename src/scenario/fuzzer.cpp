@@ -137,7 +137,7 @@ Scenario draw_scenario(Rng& rng, const ProtocolRegistry& protocols,
   if (proto.safe_under != faults::kNone &&
       rng.uniform01() < adversary_fraction)
     s.adversary = draw_adversary(rng, proto.safe_under, max_n, churn_fraction,
-                                 proto.live_under_churn);
+                                 proto.reliable_transport);
   // Reliable variants: sometimes override the transport knobs.  rto >= 3
   // keeps retransmissions honest (the fault-free ack round trip is 2
   // rounds, so smaller values would retransmit frames whose acks are still

@@ -49,7 +49,7 @@ struct FuzzConfig {
   /// Of the scenarios whose adversary draws a crash, the fraction whose
   /// schedule is upgraded to a bounded CHURN interval (crash before the
   /// node ever acked, rebirth within a bounded window).  Only protocols
-  /// declaring live_under_churn are upgraded — there the runner enforces
+  /// behind the reliable transport are upgraded — there the runner enforces
   /// termination through the rebirth; for everything else the draw stays
   /// crash-stop (late recovery can legitimately break a plain protocol's
   /// safety, which would be a false conformance finding).  In [0, 1].

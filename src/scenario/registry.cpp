@@ -165,7 +165,7 @@ ProtocolRegistry build_protocols() {
   // The O(D)-time deterministic baseline: echoes + outbox pacing put the
   // constant well above 1, and adoption chains (up to O(log n) expected
   // improvements per node under random id placement) stretch both envelopes.
-  // Safety declarations (safe_under / live_under_async) are EMPIRICAL
+  // Safety declarations (safe_under) are EMPIRICAL
   // contracts, pinned per class by the adversary conformance matrix
   // (tests/scenario/adversary_matrix_test.cpp) and hunted at scale by the
   // fuzzer's adversarial draws (counterexamples that survived the small
@@ -182,10 +182,7 @@ ProtocolRegistry build_protocols() {
   //     duplicate trips "more echoes than forwards";
   //   - kingdom tolerates delay, drop and reorder (a lost merger just
   //     stalls the conquest) but NOT duplication — a replayed surrender
-  //     resurrects a dead kingdom and two kings emerge; the known-D variant
-  //     additionally loses LIVENESS under asynchrony (its fixed radius
-  //     relaunches forever on delayed stragglers), the repo's one
-  //     live_under_async = false entry;
+  //     resurrects a dead kingdom and two kings emerge;
   //   - sublinear_complete is the robust outlier (kAll): a referee decides
   //     exactly once, so forged or lost traffic only costs liveness;
   //   - the explicit overlay is strictly more fragile than its base
@@ -195,7 +192,7 @@ ProtocolRegistry build_protocols() {
       "flood_max", Contract::Deterministic, KnowledgeGrant::None,
       /*wakeup_tolerant=*/true, /*needs_complete=*/false,
       /*explicit_overlay=*/false,
-      /*safe_under=*/faults::kReorder | faults::kCrash, /*live_under_async=*/true,
+      /*safe_under=*/faults::kReorder | faults::kCrash,
       [](const Shape&, RunOptions&) { return make_flood_max(); },
       [](const Shape& s) { return 32 * dia(s) + 2 * s.n + 4 * wake_slack(s) + 64; },
       [](const Shape& s) { return 8 * s.m * (lg(s.n) + 8) + 8 * s.n + 64; },
@@ -218,7 +215,7 @@ ProtocolRegistry build_protocols() {
   reg.add(ProtocolInfo{
       "least_el_all", Contract::LasVegas, KnowledgeGrant::None,
       true, false, false,
-      /*safe_under=*/faults::kReorder | faults::kCrash, /*live_under_async=*/true,
+      /*safe_under=*/faults::kReorder | faults::kCrash,
       [](const Shape&, RunOptions&) {
         return make_least_el(LeastElConfig::all_candidates());
       },
@@ -231,7 +228,7 @@ ProtocolRegistry build_protocols() {
   reg.add(ProtocolInfo{
       "least_el_logn", Contract::MonteCarlo, KnowledgeGrant::N,
       true, false, false,
-      /*safe_under=*/faults::kReorder | faults::kCrash, /*live_under_async=*/true,
+      /*safe_under=*/faults::kReorder | faults::kCrash,
       [](const Shape& s, RunOptions&) {
         return make_least_el(LeastElConfig::variant_A(s.n));
       },
@@ -242,7 +239,7 @@ ProtocolRegistry build_protocols() {
   reg.add(ProtocolInfo{
       "least_el_f4", Contract::MonteCarlo, KnowledgeGrant::N,
       true, false, false,
-      /*safe_under=*/faults::kReorder | faults::kCrash, /*live_under_async=*/true,
+      /*safe_under=*/faults::kReorder | faults::kCrash,
       [](const Shape&, RunOptions&) {
         return make_least_el(LeastElConfig::theorem_4_4(4.0));
       },
@@ -251,7 +248,7 @@ ProtocolRegistry build_protocols() {
   reg.add(ProtocolInfo{
       "least_el_b05", Contract::MonteCarlo, KnowledgeGrant::N,
       true, false, false,
-      /*safe_under=*/faults::kReorder | faults::kCrash, /*live_under_async=*/true,
+      /*safe_under=*/faults::kReorder | faults::kCrash,
       [](const Shape&, RunOptions&) {
         return make_least_el(LeastElConfig::variant_B(0.05));
       },
@@ -263,7 +260,7 @@ ProtocolRegistry build_protocols() {
   reg.add(ProtocolInfo{
       "las_vegas", Contract::LasVegas, KnowledgeGrant::ND,
       false, false, false,
-      /*safe_under=*/faults::kReorder | faults::kCrash, /*live_under_async=*/true,
+      /*safe_under=*/faults::kReorder | faults::kCrash,
       [](const Shape& s, RunOptions&) {
         return make_least_el(LeastElConfig::las_vegas(s.diameter));
       },
@@ -278,7 +275,7 @@ ProtocolRegistry build_protocols() {
   reg.add(ProtocolInfo{
       "size_estimate", Contract::LasVegas, KnowledgeGrant::None,
       true, false, false,
-      /*safe_under=*/faults::kReorder | faults::kCrash, /*live_under_async=*/true,
+      /*safe_under=*/faults::kReorder | faults::kCrash,
       [](const Shape&, RunOptions&) { return make_size_estimate_elect(); },
       [](const Shape& s) { return 48 * dia(s) + 2 * s.n + 4 * wake_slack(s) + 96; },
       [](const Shape& s) { return 16 * s.m * (lg(s.n) + 8) + 16 * s.n + 64; },
@@ -289,7 +286,7 @@ ProtocolRegistry build_protocols() {
   reg.add(ProtocolInfo{
       "clustering", Contract::MonteCarlo, KnowledgeGrant::N,
       false, false, false,
-      /*safe_under=*/faults::kReorder | faults::kCrash, /*live_under_async=*/true,
+      /*safe_under=*/faults::kReorder | faults::kCrash,
       [](const Shape&, RunOptions&) { return make_clustering(); },
       [](const Shape& s) { return 64 * dia(s) * lg(s.n) + 2 * s.n + 256; },
       [](const Shape& s) { return 16 * s.m + 64 * s.n * lg(s.n) + 64; },
@@ -307,7 +304,6 @@ ProtocolRegistry build_protocols() {
       true, false, false,
       /*safe_under=*/faults::kDelay | faults::kDrop | faults::kReorder |
           faults::kCrash,
-      /*live_under_async=*/true,
       [](const Shape&, RunOptions&) { return make_kingdom(); },
       [](const Shape& s) {
         return 128 * dia(s) + 32 * lg(s.n) + 2 * s.n + 4 * wake_slack(s) + 128;
@@ -333,7 +329,6 @@ ProtocolRegistry build_protocols() {
       // accounts for the delay bound (KingdomConfig::delay_bound, set from
       // the scenario's adversary below), restoring termination; recalibrated
       // live by the adversary matrix's delay rungs and fuzz sweeps.
-      /*live_under_async=*/true,
       [](const Shape& s, RunOptions& opt) {
         KingdomConfig cfg;
         cfg.known_diameter = std::max<std::uint64_t>(1, s.diameter);
@@ -350,7 +345,7 @@ ProtocolRegistry build_protocols() {
   reg.add(ProtocolInfo{
       "dfs", Contract::Deterministic, KnowledgeGrant::None,
       true, false, false,
-      /*safe_under=*/faults::kDelay | faults::kDrop | faults::kReorder | faults::kCrash, /*live_under_async=*/true,
+      /*safe_under=*/faults::kDelay | faults::kDrop | faults::kReorder | faults::kCrash,
       [](const Shape& s, RunOptions& opt) {
         opt.ids = IdScheme::RandomPermutation;
         DfsConfig cfg;
@@ -368,7 +363,7 @@ ProtocolRegistry build_protocols() {
   reg.add(ProtocolInfo{
       "spanner_elect", Contract::LasVegas, KnowledgeGrant::N,
       false, false, false,
-      /*safe_under=*/faults::kReorder, /*live_under_async=*/true,
+      /*safe_under=*/faults::kReorder,
       [](const Shape&, RunOptions&) {
         return make_spanner_elect(SpannerElectConfig{3, 0});
       },
@@ -384,7 +379,7 @@ ProtocolRegistry build_protocols() {
   reg.add(ProtocolInfo{
       "sublinear_complete", Contract::MonteCarlo, KnowledgeGrant::N,
       false, /*needs_complete=*/true, false,
-      /*safe_under=*/faults::kAll, /*live_under_async=*/true,
+      /*safe_under=*/faults::kAll,
       [](const Shape&, RunOptions&) { return make_sublinear_complete(); },
       [](const Shape&) { return Round{16}; },
       [](const Shape& s) { return 4 * s.m + 4 * s.n + 64; },
@@ -400,7 +395,7 @@ ProtocolRegistry build_protocols() {
   reg.add(ProtocolInfo{
       "explicit_flood_max", Contract::Deterministic, KnowledgeGrant::None,
       true, false, /*explicit_overlay=*/true,
-      /*safe_under=*/faults::kReorder | faults::kCrash, /*live_under_async=*/true,
+      /*safe_under=*/faults::kReorder | faults::kCrash,
       [](const Shape&, RunOptions&) { return make_explicit(make_flood_max()); },
       [](const Shape& s) { return 48 * dia(s) + 2 * s.n + 4 * wake_slack(s) + 128; },
       [](const Shape& s) {
@@ -415,9 +410,11 @@ ProtocolRegistry build_protocols() {
   // Reliable variants: the base protocol behind the ARQ link layer
   // (net/reliable.hpp).  The wrapper restores exactly-once per-port FIFO
   // delivery, so every variant's SAFETY holds under the full mask and its
-  // LIVENESS survives lossy adversaries too (reliable_transport = true: the
-  // runner enforces termination whenever drop < 1.0) — the measurable price
-  // is the retransmit/ack message overhead, fitted by the lab's loss axis.
+  // LIVENESS survives lossy adversaries and bounded churn too
+  // (reliable_transport = true: the runner enforces termination up to 60%
+  // loss, and through rebirths inside the bounded-churn window) — the
+  // measurable price is the retransmit/ack message overhead, fitted by the
+  // lab's loss axis.
   //
   // Envelopes: fault-free a wrapped run sends at most one ack per data frame
   // (piggybacked or standalone) and retransmits nothing (the ack round trip
@@ -432,18 +429,7 @@ ProtocolRegistry build_protocols() {
     ProtocolInfo p = reg.at(base);
     p.name = base + "_reliable";
     p.safe_under = faults::kAll;
-    p.live_under_async = true;
     p.reliable_transport = true;
-    // Bounded churn: a node crashing at round 0 (before its first step, so
-    // its first life is empty) and recovering within a bounded window is
-    // revived by the wrapper's go-back-all replay — every peer still holds
-    // its full send history toward the reborn node, so the fresh-epoch
-    // stream re-delivers the whole run (including the winning wave) in
-    // order, exactly once.  Later crashes stay SAFE but not live: peers'
-    // queues then hold responses to the dead first life (which a fresh
-    // process cannot account for) and acked prefixes the replay can never
-    // fill — which is why the runner gates churn liveness on the window.
-    p.live_under_churn = true;
     p.growth = std::move(growth);
     const auto base_prepare = p.prepare;
     p.prepare = [base_prepare](const Shape& s, RunOptions& opt) {

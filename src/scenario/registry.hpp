@@ -46,8 +46,8 @@ const char* to_string(Contract c);
 /// lockstep-synchronous fault-free model its SAFETY survives.  Safety here is
 /// the paper's agreement half of the contract — never more than one leader,
 /// never an agreement violation — with liveness declared separately
-/// (ProtocolInfo::live_under_async): under drops and crashes no reactive
-/// protocol can promise termination.
+/// (ProtocolInfo::reliable_transport): under drops and crashes no reactive
+/// protocol can promise termination on its own.
 namespace faults {
 inline constexpr std::uint8_t kNone = 0;
 inline constexpr std::uint8_t kDelay = 1;      ///< bounded delivery delays
@@ -140,12 +140,6 @@ struct ProtocolInfo {
   /// violation); the conformance fuzzer draws adversaries inside this mask
   /// and the nightly hunts for declarations that are too generous.
   std::uint8_t safe_under = faults::kNone;
-  /// Liveness survives bounded asynchrony: under an adversary limited to
-  /// delay / duplicate / reorder (no loss, no crashes) the protocol still
-  /// terminates with a unique leader — inside a round envelope stretched by
-  /// the delay bound.  Clock-driven protocols (fixed global schedules,
-  /// epoch restarts) are generally not, even when their safety is.
-  bool live_under_async = false;
   /// Build the factory.  opt.knowledge is already set (>= min_knowledge);
   /// prepare may set opt.ids and other per-protocol options.
   std::function<ProcessFactory(const ScenarioShape&, RunOptions&)> prepare;
@@ -156,23 +150,16 @@ struct ProtocolInfo {
   /// Declared growth curves (may be empty); consumed by the Complexity Lab.
   std::vector<GrowthExpectation> growth;
   /// The protocol runs behind the reliable link layer (net/reliable.hpp):
-  /// prepare() wraps the base factory with make_reliable, the scenario's
-  /// `r=` tail (ScenarioReliable) is honored, and liveness additionally
-  /// holds under LOSSY adversaries (drop / duplication below total
-  /// partition), not just the loss-free asynchrony live_under_async covers —
-  /// the runner enforces termination for drop_pm < 1000 when this is set.
+  /// prepare() wraps the base factory with make_reliable and the scenario's
+  /// `r=` tail (ScenarioReliable) is honored.  This is also the one liveness
+  /// declaration.  Every protocol terminates under delay and reorder alone
+  /// (bounded asynchrony); the reliable transport additionally buys
+  /// termination under loss up to 600‰ with duplication, and under bounded
+  /// CHURN — every crash an empty first life (round 0) reborn within a
+  /// bounded window, which the ARQ layer's go-back-all replay revives with
+  /// the full history.  Later crashes stay safe but not live (see
+  /// bounded_churn in runner.cpp).
   bool reliable_transport = false;
-  /// Liveness survives bounded CHURN: under a crash schedule whose every
-  /// interval is an early, bounded rebirth (crash in the first rounds, before
-  /// the node has acked anything, recovering within a bounded window) the
-  /// protocol still terminates with a unique leader.  Requires
-  /// reliable_transport — the ARQ layer's go-back-all replay is what delivers
-  /// the full history (including the winning wave) to a reborn node.  Crashes
-  /// AFTER ack progress leave peers' streams gap-stuck toward the reborn node:
-  /// safety still holds (the node stays Undecided and the link eventually
-  /// gives up) but termination does not, so the runner only enforces liveness
-  /// for schedules inside the bounded-churn window (see runner.cpp).
-  bool live_under_churn = false;
 };
 
 class ProtocolRegistry {

@@ -8,12 +8,15 @@
 
 #include "election/explicit_elect.hpp"
 #include "graphgen/graph_algos.hpp"
-#include "net/reliable.hpp"
 #include "net/wakeup.hpp"
 
 namespace ule {
 
 namespace {
+
+/// Engine round cap = round envelope * this.  Breaching the envelope is the
+/// violation; the cap only bounds how long a broken run can spin.
+constexpr Round kEnvelopeSlack = 4;
 
 /// Domain-separated streams derived from the scenario seed, so the graph,
 /// the wakeup schedule and the run itself never share coins.
@@ -66,8 +69,9 @@ void validate_params(const FamilyInfo& fam, const Scenario& s) {
 constexpr Round kChurnLivenessCrashBy = 0;
 constexpr Round kChurnLivenessRecoverBy = 16;
 
+/// Every crash is a rebirth inside the window (vacuously true without
+/// crashes).
 bool bounded_churn(const std::vector<ScenarioCrash>& cs) {
-  if (cs.empty()) return false;
   for (const ScenarioCrash& c : cs) {
     if (c.recover == kRoundForever) return false;  // crash-stop, not churn
     if (c.at > kChurnLivenessCrashBy) return false;
@@ -150,32 +154,22 @@ ScenarioOutcome run_scenario(const ProtocolRegistry& protocols,
   // Liveness is only promised without loss OR forgery: drops and crashes can
   // livelock any reactive protocol, and duplicated messages stall echo
   // accounting even where they cannot forge a second leader (kingdom
-  // quiesces undecided under duplication).  Delay and reorder alone must
-  // still terminate when the protocol declares live_under_async.  A reliable
-  // transport (the ARQ wrapper) additionally buys termination under drops
-  // and duplication — every frame is retransmitted until acked — as long as
-  // the loss stays in the calibrated domain (≤ 600‰, the lab loss ladder's
-  // top rung, where give-up is astronomically unlikely; beyond that a
-  // deadline-stretched run may legitimately see a link give up, and at
+  // quiesces undecided under duplication).  Delay and reorder alone (or no
+  // adversary at all) must still terminate, for every protocol.  A
+  // reliable transport (the ARQ wrapper) additionally buys termination under
+  // drops and duplication — every frame is retransmitted until acked — as
+  // long as the loss stays in the calibrated domain (≤ 600‰, the lab loss
+  // ladder's top rung, where give-up is astronomically unlikely; beyond that
+  // a deadline-stretched run may legitimately see a link give up, and at
   // drop = 1.0 no wrapper can push a bit through an edge that delivers
   // nothing) and no node crashed for good.  Bounded CHURN is the exception
   // to the crash clause: when every crash is an early, bounded rebirth (see
-  // bounded_churn above) and the protocol declares live_under_churn, the
-  // reliable transport's full-history replay revives the reborn node and
-  // termination is enforced again.
+  // bounded_churn above), the reliable transport's full-history replay
+  // revives the reborn node and termination is enforced again.
   const bool enforce_liveness =
-      adv_classes == faults::kNone ||
-      (proto.live_under_async &&
-       (adv_classes & ~(faults::kDelay | faults::kReorder)) == 0) ||
-      (proto.reliable_transport && proto.live_under_async &&
-       (adv_classes & ~(faults::kDelay | faults::kDrop | faults::kDuplicate |
-                        faults::kReorder)) == 0 &&
-       s.adversary.drop_pm <= 600) ||
-      (proto.live_under_churn && proto.live_under_async &&
-       bounded_churn(s.adversary.crashes) &&
-       (adv_classes & ~(faults::kDelay | faults::kDrop | faults::kDuplicate |
-                        faults::kReorder | faults::kCrash)) == 0 &&
-       s.adversary.drop_pm <= 600);
+      (adv_classes & ~(faults::kDelay | faults::kReorder)) == 0 ||
+      (proto.reliable_transport && s.adversary.drop_pm <= 600 &&
+       bounded_churn(s.adversary.crashes));
 
   const Graph g = build_scenario_graph(families, s);
 
@@ -233,7 +227,7 @@ ScenarioOutcome run_scenario(const ProtocolRegistry& protocols,
   opt.seed = s.seed;
   opt.knowledge = knowledge_for(out.shape, s.knowledge);
   opt.congest = CongestMode::Count;
-  opt.max_rounds = round_env * cfg.envelope_slack;
+  opt.max_rounds = round_env * kEnvelopeSlack;
   opt.adversary = s.adversary.engine_config(g.n());
   opt.reliable.rto = static_cast<std::uint32_t>(s.reliable.rto);
   opt.reliable.backoff_cap = static_cast<std::uint32_t>(s.reliable.cap);
@@ -253,12 +247,9 @@ ScenarioOutcome run_scenario(const ProtocolRegistry& protocols,
     if (v.unique_leader && !eng.anonymous())
       winner_uid = eng.uid_of(v.leader_slot);
     for (NodeId slot = 0; slot < eng.graph().n(); ++slot) {
-      const Process* raw = eng.process(slot);
-      // The reliable wrapper is transparent to the overlay check: reach
-      // through it to the wrapped ExplicitProcess.
-      if (const auto* rel = dynamic_cast<const ReliableProcess*>(raw))
-        raw = rel->inner();
-      const auto* p = dynamic_cast<const ExplicitProcess*>(raw);
+      // Other wrappers (the reliable link layer) are transparent to the
+      // overlay check: reach through them to the ExplicitProcess.
+      const auto* p = unwrap<ExplicitProcess>(eng.process(slot));
       if (p != nullptr && p->known_leader().has_value()) {
         ++know_count;
         learned.insert(*p->known_leader());

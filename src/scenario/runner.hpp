@@ -22,10 +22,12 @@
 // splits along the registry's declarations: safety (at most one leader,
 // leader-id agreement) is enforced under EVERY adversary the protocol
 // declares itself safe against, while liveness, budget, full-coverage and
-// congest checks apply only when termination is actually promised — no
-// adversary at all, or a loss- and forgery-free adversary (delay / reorder)
-// against a protocol declaring live_under_async.  Round and message
-// envelopes stretch under the adversary (x(max_delay + 2) and x2).
+// congest checks apply only when termination is actually promised — a
+// loss- and forgery-free adversary (delay / reorder, or none at all) against
+// any protocol, or loss up to 600‰ and bounded churn against a protocol
+// behind the reliable transport (ProtocolInfo::reliable_transport).  Round
+// and message envelopes stretch under the adversary (x(max_delay + 2) and
+// x2).
 //
 // A scenario that names unknown registry entries or violates a protocol's
 // prerequisites (knowledge grant too weak, adversarial wakeup on a
@@ -48,9 +50,6 @@ namespace ule {
 struct ScenarioRunConfig {
   /// Rerun at scenario.threads (when > 1) and diff against the threads=1 run.
   bool check_determinism = true;
-  /// Engine round cap = round_envelope * this (breaching the envelope is the
-  /// violation; the cap only bounds how long a broken run can spin).
-  Round envelope_slack = 4;
   /// Engine telemetry (net/metrics.hpp).  When enabled the reference run's
   /// report.run.metrics carries the snapshot, and the determinism cross-check
   /// additionally diffs the two runs' snapshots byte for byte.

@@ -18,6 +18,7 @@
 
 #include "election/clustering.hpp"
 #include "election/dfs_election.hpp"
+#include "election/explicit_elect.hpp"
 #include "election/flood_max.hpp"
 #include "election/kingdom.hpp"
 #include "election/least_el.hpp"
@@ -28,6 +29,7 @@
 #include "graphgen/generators.hpp"
 #include "graphgen/graph_algos.hpp"
 #include "net/engine.hpp"
+#include "net/reliable.hpp"
 #include "spanner/spanner_elect.hpp"
 
 namespace ule {
@@ -72,6 +74,24 @@ ProcessFactory build_algo(const std::string& algo, const Graph& g,
     opt.ids = IdScheme::RandomPermutation;
     opt.max_rounds = Round{1} << 62;
     return make_dfs_election();
+  }
+  // The wrapper layer: the explicit overlay, the ARQ link layer over a
+  // protocol that sleeps on ID-scaled waits (pure acks wake the wrapper but
+  // must not step the sleeping inner), a wrapper over a wrapper, and the ARQ
+  // layer under a drop + delay adversary (rto = 4 + 2 * max_delay).
+  if (algo == "explicit_flood_max") return make_explicit(make_flood_max());
+  if (algo == "reliable_dfs") {
+    opt.ids = IdScheme::RandomPermutation;
+    opt.max_rounds = Round{1} << 62;
+    return make_reliable(make_dfs_election());
+  }
+  if (algo == "reliable_explicit_flood_max")
+    return make_reliable(make_explicit(make_flood_max()));
+  if (algo == "reliable_flood_max_lossy") {
+    opt.adversary.seed = 7;
+    opt.adversary.drop = 0.2;
+    opt.adversary.max_delay = 2;
+    return make_reliable(make_flood_max(), ReliableConfig{.rto = 8});
   }
   if (algo == "least_el_all") {
     opt.knowledge = Knowledge::of_n(g.n());
@@ -132,6 +152,14 @@ const CaseSpec kCases[] = {
     {"clustering", "grid4x6"},    {"size_estimate", "cycle24"},
     {"size_estimate", "complete12"}, {"spanner_elect", "gnm40_100"},
     {"spanner_elect", "complete12"},
+    {"explicit_flood_max", "cycle24"}, {"explicit_flood_max", "grid4x6"},
+    {"explicit_flood_max", "complete12"}, {"reliable_dfs", "cycle24"},
+    {"reliable_dfs", "path17"},   {"reliable_dfs", "grid4x6"},
+    {"reliable_explicit_flood_max", "cycle24"},
+    {"reliable_explicit_flood_max", "gnm40_100"},
+    {"reliable_flood_max_lossy", "cycle24"},
+    {"reliable_flood_max_lossy", "grid4x6"},
+    {"reliable_flood_max_lossy", "gnm40_100"},
 };
 
 GoldenRow run_case(const CaseSpec& c, std::uint64_t seed) {
@@ -225,6 +253,30 @@ const GoldenRow kGolden[] = {
     {"spanner_elect", "gnm40_100", 2, 25, 1479, 189734, 1, 39, 0, 0, 24, 14},
     {"spanner_elect", "complete12", 1, 20, 629, 82636, 1, 11, 0, 0, 19, 8},
     {"spanner_elect", "complete12", 2, 18, 542, 71540, 1, 11, 0, 0, 17, 0},
+    // Wrapper cells, recorded from the two separate wrapper implementations
+    // before they shared one inner-process driver.
+    {"explicit_flood_max", "cycle24", 1, 40, 257, 33816, 1, 23, 0, 0, 26, 5},
+    {"explicit_flood_max", "cycle24", 2, 42, 255, 33540, 1, 23, 0, 0, 28, 23},
+    {"explicit_flood_max", "grid4x6", 1, 29, 513, 67296, 1, 23, 0, 0, 19, 5},
+    {"explicit_flood_max", "grid4x6", 2, 32, 581, 76680, 1, 23, 0, 0, 22, 23},
+    {"explicit_flood_max", "complete12", 1, 8, 605, 75504, 1, 11, 0, 0, 5, 5},
+    {"explicit_flood_max", "complete12", 2, 8, 605, 75504, 1, 11, 0, 0, 5, 11},
+    {"reliable_dfs", "cycle24", 1, 103, 124, 13392, 1, 23, 0, 0, 102, 5},
+    {"reliable_dfs", "cycle24", 2, 103, 128, 13824, 1, 23, 0, 0, 102, 6},
+    {"reliable_dfs", "path17", 1, 67, 76, 8208, 1, 16, 0, 0, 66, 5},
+    {"reliable_dfs", "path17", 2, 67, 74, 7992, 1, 16, 0, 0, 66, 9},
+    {"reliable_dfs", "grid4x6", 1, 215, 222, 23976, 1, 23, 0, 0, 214, 5},
+    {"reliable_dfs", "grid4x6", 2, 215, 226, 24408, 1, 23, 0, 0, 214, 6},
+    {"reliable_explicit_flood_max", "cycle24", 1, 41, 440, 65496, 1, 23, 0, 0, 26, 5},
+    {"reliable_explicit_flood_max", "cycle24", 2, 43, 433, 64716, 1, 23, 0, 0, 28, 23},
+    {"reliable_explicit_flood_max", "gnm40_100", 1, 17, 1558, 257904, 1, 39, 0, 0, 11, 37},
+    {"reliable_explicit_flood_max", "gnm40_100", 2, 19, 1638, 271668, 1, 39, 0, 0, 12, 38},
+    {"reliable_flood_max_lossy", "cycle24", 1, 272, 541, 85182, 1, 23, 0, 37, 126, 5},
+    {"reliable_flood_max_lossy", "cycle24", 2, 232, 560, 89448, 1, 23, 0, 64, 228, 23},
+    {"reliable_flood_max_lossy", "grid4x6", 1, 302, 1163, 193170, 1, 23, 0, 154, 129, 5},
+    {"reliable_flood_max_lossy", "grid4x6", 2, 153, 1136, 189708, 1, 23, 0, 161, 144, 23},
+    {"reliable_flood_max_lossy", "gnm40_100", 1, 276, 2846, 482982, 1, 39, 0, 541, 123, 37},
+    {"reliable_flood_max_lossy", "gnm40_100", 2, 204, 3119, 531480, 1, 39, 0, 619, 115, 38},
     // clang-format on
 };
 

@@ -5,7 +5,8 @@
 // through the wrapper's split counters (duplicate_drops vs parked_frames — a parked
 // frame is buffered reordering pressure, not a loss), give-up restores
 // quiescence under total loss with the death visible in dead_links /
-// dead_link_drops and the nontermination diagnosis, and the whole machine is
+// dead_link_drops and the nontermination diagnosis, the wrapper steps its
+// inner exactly when the engine would have, and the whole machine is
 // deterministic (no RNG, no thread-dependent state).
 
 #include <gtest/gtest.h>
@@ -243,6 +244,61 @@ TEST(Reliable, GiveUpRestoresQuiescenceUnderTotalLoss) {
   EXPECT_EQ(res.dead_link_nodes, (std::vector<NodeId>{0}));
   const std::string diag = describe_nontermination(res);
   EXPECT_NE(diag.find("dead ARQ link"), std::string::npos) << diag;
+}
+
+/// Sends one frame on port 0 when it wakes, then sleeps until round 20 (or
+/// halts); every later step records its round and idles.
+class WakeThenWait final : public Process {
+ public:
+  explicit WakeThenWait(bool halt) : halt_(halt) {}
+
+  void on_wake(Context& ctx, std::span<const Envelope>) override {
+    FlatMsg m;
+    m.type = 7;
+    m.bits = 64;
+    ctx.send(0, m);
+    if (halt_) {
+      ctx.halt();
+    } else {
+      ctx.sleep_until(20);
+    }
+  }
+  void on_round(Context& ctx, std::span<const Envelope>) override {
+    stepped_at.push_back(ctx.round());
+    ctx.idle();
+  }
+
+  std::vector<Round> stepped_at;
+
+ private:
+  bool halt_;
+};
+
+/// path2 with the wrapped probe at node 0 and a wrapped Courier sending
+/// `peer_sends` frames at node 1; returns the rounds the probe was stepped.
+std::vector<Round> probe_steps(bool halt, int peer_sends) {
+  Graph g = path2();
+  SyncEngine eng(g, EngineConfig{});
+  eng.init_processes([&](NodeId slot) -> std::unique_ptr<Process> {
+    if (slot == 0)
+      return std::make_unique<ReliableProcess>(
+          std::make_unique<WakeThenWait>(halt), ReliableConfig{});
+    return std::make_unique<ReliableProcess>(
+        std::make_unique<Courier>(peer_sends), ReliableConfig{});
+  });
+  EXPECT_TRUE(eng.run().completed);
+  const auto* probe = unwrap<WakeThenWait>(eng.process(0));
+  EXPECT_NE(probe, nullptr);
+  return probe != nullptr ? probe->stepped_at : std::vector<Round>{};
+}
+
+TEST(Reliable, WrapperStepsTheInnerOnlyWhenTheEngineWould) {
+  // The peer's pure ack arrives at round 2 and wakes the wrapper, but the
+  // inner asked to sleep until round 20 and has no message of its own: the
+  // engine would not have stepped it, so the wrapper must not either.
+  EXPECT_EQ(probe_steps(/*halt=*/false, 0), (std::vector<Round>{20}));
+  // A halted inner is never stepped again, even when data arrives for it.
+  EXPECT_EQ(probe_steps(/*halt=*/true, 1), (std::vector<Round>{}));
 }
 
 /// Sends one frame on port 0 at its first step, sleeps past the give-up

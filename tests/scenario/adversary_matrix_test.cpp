@@ -2,9 +2,10 @@
 // against a small adversary ladder — delay-only, drop, duplication, reorder,
 // a single crash, and an everything-at-once mix — on a handful of small
 // families and seeds, asserting that no run EVER elects two leaders or
-// breaks leader-id agreement.  Liveness is asserted only where the registry
-// declares it survives (live_under_async, loss-free classes); everywhere
-// else a livelock is legal and only safety counts.
+// breaks leader-id agreement.  Liveness is asserted only where the runner
+// promises it (loss-free classes for every protocol, plus bounded loss for
+// the reliable transport); everywhere else a livelock is legal and only
+// safety counts.
 //
 // This is the empirical pin behind every ProtocolInfo::safe_under mask: a
 // declaration generous enough to let the fuzzer draw a double-electing

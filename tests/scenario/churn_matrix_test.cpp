@@ -5,7 +5,7 @@
 // Two walls, matching the declarations:
 //   - SAFETY for every protocol whose safe_under mask includes kCrash: no
 //     churn cell ever elects two leaders, whatever else the rebirth wrecked.
-//   - LIVENESS for every protocol declaring live_under_churn (the
+//   - LIVENESS for every protocol behind the reliable transport (the
 //     *_reliable fleet): inside the bounded-churn window (crash at round 0,
 //     bounded recover) the run must still elect a unique leader — the ARQ
 //     epoch-healing replay is what carries the winning wave to the reborn
@@ -138,7 +138,7 @@ TEST(ChurnMatrix, SafetyHoldsForEveryCrashSafeProtocol) {
 }
 
 TEST(ChurnMatrix, ReliableFleetStaysLiveUnderBoundedChurn) {
-  // The liveness wall: every live_under_churn protocol must ELECT — not
+  // The liveness wall: every reliable-transport protocol must ELECT — not
   // just stay safe — through every bounded-churn rung.  out.ok() already
   // enforces the runner's liveness contract (completion inside the churn-
   // stretched envelope); the explicit unique-leader check keeps this test
@@ -150,7 +150,7 @@ TEST(ChurnMatrix, ReliableFleetStaysLiveUnderBoundedChurn) {
 
   std::size_t ran = 0;
   for (const ProtocolInfo& proto : protos.all()) {
-    if (!proto.live_under_churn) continue;
+    if (!proto.reliable_transport) continue;
     for (const Rung& rung : rungs) {
       const std::uint8_t classes = faults::classes(rung.adv);
       if (classes & ~proto.safe_under) continue;

@@ -145,7 +145,7 @@ ProtocolRegistry registry_with(const char* name,
       name, Contract::Deterministic, KnowledgeGrant::N,
       wakeup_tolerant, /*needs_complete=*/false,
       /*explicit_overlay=*/false,
-      safe_under, /*live_under_async=*/true,
+      safe_under,
       [make = std::move(make)](const ScenarioShape&, RunOptions&) {
         return [make](NodeId) { return make(); };
       },

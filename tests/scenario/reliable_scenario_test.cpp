@@ -41,7 +41,6 @@ TEST(ReliableScenario, EveryVariantConformsUnderFullMaskAcrossThreads) {
     if (!proto.reliable_transport) continue;
     ++variants;
     EXPECT_EQ(proto.safe_under, faults::kAll) << proto.name;
-    EXPECT_TRUE(proto.live_under_async) << proto.name;
 
     Scenario s;
     s.family = proto.needs_complete ? "complete" : "ring";

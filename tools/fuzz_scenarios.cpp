@@ -15,8 +15,8 @@
 //                                       threads > 1 (default .25)
 //   fuzz_scenarios --churn-fraction F   fraction of crash draws upgraded to
 //                                       bounded crash-recovery intervals
-//                                       (live_under_churn protocols only,
-//                                       default .25)
+//                                       (reliable-transport protocols
+//                                       only, default .25)
 //   fuzz_scenarios --replay TOKEN      re-run one scenario from its token
 //   fuzz_scenarios --list              print registered protocols + families
 //   fuzz_scenarios --stats             print per-protocol envelope headroom
@@ -45,11 +45,10 @@ namespace {
 void print_list(const ProtocolRegistry& protos, const FamilyRegistry& fams) {
   std::printf("protocols (%zu):\n", protos.all().size());
   for (const ProtocolInfo& p : protos.all()) {
-    std::printf("  %-20s %-13s min-knowledge=%-4s safe-under=%-28s%s%s%s%s%s\n",
+    std::printf("  %-20s %-13s min-knowledge=%-4s safe-under=%-28s%s%s%s%s\n",
                 p.name.c_str(), to_string(p.contract),
                 to_string(p.min_knowledge),
                 faults::to_string(p.safe_under).c_str(),
-                p.live_under_async ? " live-async" : "",
                 p.reliable_transport ? " reliable-transport" : "",
                 p.wakeup_tolerant ? " wakeup-tolerant" : "",
                 p.needs_complete ? " complete-only" : "",
