@@ -22,12 +22,14 @@
 //                 "node_steps": ..., "messages": ..., "bits": ...,
 //                 "completed": ..., "elected": ..., "unique_leader": ...,
 //                 "rounds_per_sec": ..., "messages_per_sec": ...,
-//                 "ops_per_sec": ...,
+//                 "ops_per_sec": ..., "minor_faults": ...,
 //                 "per_round_ns": ... (perround rows only) } ] }
 //
 // Counters (executed_rounds, messages, bits) are deterministic per seed and
 // per thread count and double as a regression check; wall times are
-// machine-specific.
+// machine-specific.  minor_faults is the process's getrusage minor-fault
+// delta over all of a row's runs (worker threads included): ungated, it
+// shows how much fresh memory the engine faults in per row.
 //
 //   $ ./bench_engine_hotpath                 # full sweep, ring up to 10^6
 //   $ ./bench_engine_hotpath --quick         # CI smoke (tiny n, <1s)
@@ -67,6 +69,8 @@
 //                    rounds, zero messages: pure per-round scheduler cost.
 //                    Wall time must be independent of n (the seed engine's
 //                    O(n)-scan scheduler fails this by orders of magnitude).
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
@@ -128,7 +132,15 @@ struct Measured {
   RunResult run;
   std::size_t m = 0;
   bool unique_leader = false;
+  std::uint64_t minor_faults = 0;  ///< over every repeat of the row
 };
+
+/// Minor page faults of the whole process so far.
+std::uint64_t minor_faults_now() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<std::uint64_t>(ru.ru_minflt);
+}
 
 void report_row(json::JsonReport& report, const char* workload,
                 const char* family, std::size_t n, std::uint64_t seed,
@@ -158,7 +170,8 @@ void report_row(json::JsonReport& report, const char* workload,
       .set("unique_leader", mr.unique_leader)
       .set("rounds_per_sec", rate(mr.run.executed_rounds))
       .set("messages_per_sec", rate(mr.run.messages))
-      .set("ops_per_sec", rate(mr.run.node_steps));
+      .set("ops_per_sec", rate(mr.run.node_steps))
+      .set("minor_faults", mr.minor_faults);
   std::printf("%-18s %-9s n=%-8zu t=%-2u %10.2f ms  %9llu exec rounds"
               "  %10llu msgs  %12.0f ops/s\n",
               workload, family, n, threads, mr.wall_ms,
@@ -196,6 +209,7 @@ Measured run_election_timed(const Graph& g, const ProcessFactory& factory,
 template <class Once>
 std::optional<Measured> repeated(int reps, const char* workload, std::size_t n,
                                  Once&& once) {
+  const std::uint64_t faults_before = minor_faults_now();
   Measured first = once();
   std::vector<double> walls = {first.wall_ms};
   for (int r = 1; r < reps; ++r) {
@@ -217,6 +231,7 @@ std::optional<Measured> repeated(int reps, const char* workload, std::size_t n,
   first.wall_ms = walls[walls.size() / 2];
   first.wall_min_ms = walls.front();
   first.wall_max_ms = walls.back();
+  first.minor_faults = minor_faults_now() - faults_before;
   return first;
 }
 
@@ -468,6 +483,7 @@ int main(int argc, char** argv) {
           .set("wall_max_ms", armed.wall_max_ms)
           .set("plain_wall_ms", plain.wall_ms)
           .set("wall_ratio", ratio)
+          .set("minor_faults", armed.minor_faults)
           .set("counters_identical", true);
       std::printf("%-18s %-9s n=%-8zu t=%-2u %10.2f ms  vs plain %.2f ms  "
                   "ratio %.3f (counters identical)\n",

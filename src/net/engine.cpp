@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 
 namespace ule {
 
@@ -21,6 +22,7 @@ class SyncEngine::Ctx final : public Context {
   Ctx(SyncEngine& eng, SendLane* lane) : eng_(eng), lane_(lane) {}
 
   void bind(NodeId slot) { slot_ = slot; }
+  SendLane& lane() const { return *lane_; }
 
   NodeId slot() const override { return slot_; }
   std::size_t degree() const override { return eng_.graph_.degree(slot_); }
@@ -78,7 +80,15 @@ class SyncEngine::Ctx final : public Context {
 // ---------------------------------------------------------------------------
 
 SyncEngine::SyncEngine(const Graph& g, EngineConfig cfg)
-    : graph_(g), cfg_(std::move(cfg)) {
+    : graph_(g),
+      cfg_(std::move(cfg)),
+      threads_(cfg_.threads != 0
+                   ? cfg_.threads
+                   : std::max(1u, std::thread::hardware_concurrency())),
+      // The trace records the global execution order; traced runs stay
+      // sequential regardless of the thread setting.
+      parallel_ok_(threads_ > 1 && cfg_.trace_limit == 0),
+      store_(parallel_ok_ ? threads_ : 1) {
   const std::size_t n = graph_.n();
   nodes_.resize(n);
   procs_.resize(n);
@@ -142,14 +152,40 @@ SyncEngine::SyncEngine(const Graph& g, EngineConfig cfg)
     // and the run must take the exact fault-free hot path.
     crashes_on_ = !churn_schedule_.empty();
   }
+}
 
-  threads_ = cfg_.threads != 0
-                 ? cfg_.threads
-                 : std::max(1u, std::thread::hardware_concurrency());
-  // The trace records the global execution order; traced runs stay
-  // sequential regardless of the thread setting.
-  parallel_ok_ = threads_ > 1 && !tracing_;
-  lanes_.resize(parallel_ok_ ? threads_ : 1);
+SyncEngine::RoundBuffers& SyncEngine::RecycledBuffers::thread_cache() {
+  thread_local RoundBuffers cache;
+  return cache;
+}
+
+SyncEngine::RecycledBuffers::RecycledBuffers(std::size_t lane_count) {
+  RoundBuffers& cache = thread_cache();
+  lanes = std::exchange(cache.lanes, {});
+  delivery = std::exchange(cache.delivery, {});
+  if (lanes.size() > lane_count) {
+    spare.assign(std::make_move_iterator(lanes.begin() + lane_count),
+                 std::make_move_iterator(lanes.end()));
+    lanes.erase(lanes.begin() + lane_count, lanes.end());
+  } else {
+    lanes.resize(lane_count);
+  }
+}
+
+SyncEngine::RecycledBuffers::~RecycledBuffers() {
+  RoundBuffers& cache = thread_cache();
+  // Nothing to hand back (moved from), or another engine on this thread has
+  // refilled the cache first: then this storage is simply freed.
+  if (lanes.empty() || !cache.lanes.empty()) return;
+  try {
+    lanes.reserve(lanes.size() + spare.size());
+  } catch (const std::bad_alloc&) {
+    return;
+  }
+  for (SendLane& lane : spare) lanes.push_back(std::move(lane));
+  for (SendLane& lane : lanes) lane.recycle();
+  cache.lanes = std::move(lanes);
+  cache.delivery = std::move(delivery);
 }
 
 void SyncEngine::set_uids(std::vector<Uid> uids) {
@@ -229,7 +265,7 @@ void SyncEngine::do_send(SendLane& lane, NodeId from, PortId port,
     adv_enqueue(lane, from, he, msg, link);
     return;
   }
-  lane.out.push_back(OutboundEnvelope{he.to, he.rev, he.edge, msg, link});
+  lane.out.push(he.to, Envelope{he.rev, msg, link});
 }
 
 void SyncEngine::adv_enqueue(SendLane& lane, NodeId from,
@@ -250,67 +286,66 @@ void SyncEngine::adv_enqueue(SendLane& lane, NodeId from,
       (adv.duplicate > 0.0 && coin.bernoulli(adv.duplicate)) ? 2 : 1;
   if (copies == 2) ++lane.adv_dups;
   for (int c = 0; c < copies; ++c) {
-    const OutboundEnvelope env{he.to, he.rev, he.edge, msg, link};
+    const Envelope env{he.rev, msg, link};
     const Round extra = delays_on_ ? coin.below(adv.max_delay + 1) : 0;
     if (extra > 0) {
       ++lane.adv_delays;
-      lane.parked.push_back(ParkedEnvelope{round_ + 1 + extra, env});
+      lane.parked.push_back(ParkedEnvelope{round_ + 1 + extra, he.to, env});
     } else {
-      lane.out.push_back(env);
+      lane.out.push(he.to, env);
     }
   }
 }
 
 namespace {
 
-/// Calls f(envelope) for positions [lo, hi) of the concatenation of
+/// Calls f(batch, i) for positions [lo, hi) of the concatenation of
 /// `sources` — one worker's chunk of the round's envelope sequence.
 template <class F>
-void for_each_in_range(
-    const std::vector<std::vector<OutboundEnvelope>*>& sources,
-    std::size_t lo, std::size_t hi, F&& f) {
+void for_each_in_range(const std::vector<const SendBatch*>& sources,
+                       std::size_t lo, std::size_t hi, F&& f) {
   std::size_t base = 0;
-  for (const auto* src : sources) {
+  for (const SendBatch* src : sources) {
     if (lo >= hi) return;
     const std::size_t end = base + src->size();
-    for (; lo < hi && lo < end; ++lo) f((*src)[lo - base]);
+    for (; lo < hi && lo < end; ++lo) f(*src, lo - base);
     base = end;
   }
 }
 
 }  // namespace
 
-void SyncEngine::reserve_delivery(std::size_t total) {
-  if (total <= delivery_cap_) return;
-  const std::size_t cap = std::max(total, 2 * delivery_cap_);
-  delivery_.reset();  // nothing to keep: release before the larger block
-  delivery_.reset(
-      static_cast<Envelope*>(::operator new(cap * sizeof(Envelope))));
-  delivery_cap_ = cap;
-}
-
 void SyncEngine::deliver_round() {
   // Reset the previous round's buckets (only the nodes that had one).
   for (const NodeId s : dirty_) inbox_len_[s] = 0;
   dirty_.clear();
+  std::vector<SendLane>& lanes = store_.lanes;
   // Quiescent fast path: without delays every in-flight envelope sits in a
   // lane, and a sequential run has only lane 0.
-  if (!delays_on_ && lanes_.size() == 1 && lanes_[0].out.empty()) return;
+  if (!delays_on_ && lanes.size() == 1 && lanes[0].out.empty()) return;
+  // Last round's sends become the batches this round's receivers point
+  // into; the batches they replace were last read in the previous round.
+  for (SendLane& lane : lanes) {
+    std::swap(lane.out, lane.held);
+    lane.out.clear();
+  }
   // The sources, in inbox order: the delay-ring slot due this round (delay
   // runs only — older sends first, in park order), then every lane's on-time
   // sends in lane order, which is the send order (shards are contiguous slot
   // ranges executed in ascending lane order).
   sources_.clear();
   if (delays_on_) [[unlikely]] {
-    std::vector<OutboundEnvelope>& due =
-        delay_ring_[round_ % delay_ring_.size()];
+    delay_ring_[held_ring_slot_].clear();
+    held_ring_slot_ = round_ % delay_ring_.size();
+    const SendBatch& due = delay_ring_[held_ring_slot_];
     pending_count_ -= due.size();
     sources_.push_back(&due);
   }
-  for (SendLane& lane : lanes_) sources_.push_back(&lane.out);
+  for (const SendLane& lane : lanes) sources_.push_back(&lane.held);
   std::size_t total = 0;
-  for (const auto* src : sources_) total += src->size();
-  reserve_delivery(total);
+  for (const SendBatch* src : sources_) total += src->size();
+  if (store_.delivery.size() < total) store_.delivery.resize(total);
+  const Envelope** const delivery = store_.delivery.data();
 
   // Stable counting-bucket by destination: count, prefix, scatter.  Taking
   // the envelopes in source order makes each node's inbox order identical to
@@ -329,9 +364,11 @@ void SyncEngine::deliver_round() {
       NodeId* const touched = bucket_touched_.data() + w * bucket_stride_;
       std::uint32_t k = 0;
       const auto [lo, hi] = shard_range(w, total);
-      for_each_in_range(sources_, lo, hi, [&](const OutboundEnvelope& f) {
-        if (hist[f.to]++ == 0) touched[k++] = f.to;
-      });
+      for_each_in_range(sources_, lo, hi,
+                        [&](const SendBatch& b, std::size_t i) {
+                          const NodeId to = b.to[i];
+                          if (hist[to]++ == 0) touched[k++] = to;
+                        });
       bucket_touched_len_[w] = k;
     });
     // Totals, and dirty_ in first-delivery order: chunk w precedes chunk w+1
@@ -348,9 +385,9 @@ void SyncEngine::deliver_round() {
       }
     }
   } else {
-    for (const auto* src : sources_) {
-      for (const OutboundEnvelope& f : *src) {
-        if (inbox_len_[f.to]++ == 0) dirty_.push_back(f.to);
+    for (const SendBatch* src : sources_) {
+      for (const NodeId to : src->to) {
+        if (inbox_len_[to]++ == 0) dirty_.push_back(to);
       }
     }
   }
@@ -375,25 +412,26 @@ void SyncEngine::deliver_round() {
       }
     }
     // Scatter: every worker fills its own slots, then zeroes its row.
-    ensure_pool().run([this, total](unsigned w) {
+    ensure_pool().run([this, total, delivery](unsigned w) {
       std::uint32_t* const hist = bucket_hist_.data() + w * bucket_stride_;
       const NodeId* const touched = bucket_touched_.data() + w * bucket_stride_;
       const auto [lo, hi] = shard_range(w, total);
-      for_each_in_range(sources_, lo, hi, [&](const OutboundEnvelope& f) {
-        delivery_[hist[f.to]++] = Envelope{f.at_port, f.flat, f.link};
-      });
+      for_each_in_range(sources_, lo, hi,
+                        [&](const SendBatch& b, std::size_t i) {
+                          delivery[hist[b.to[i]]++] = &b.env[i];
+                        });
       for (std::uint32_t k = 0; k < bucket_touched_len_[w]; ++k)
         hist[touched[k]] = 0;
     });
   } else {
-    for (const auto* src : sources_) {
-      for (const OutboundEnvelope& f : *src) {
-        delivery_[inbox_off_[f.to] + inbox_len_[f.to]++] =
-            Envelope{f.at_port, f.flat, f.link};
+    for (const SendBatch* src : sources_) {
+      const std::size_t count = src->size();
+      for (std::size_t i = 0; i < count; ++i) {
+        const NodeId to = src->to[i];
+        delivery[inbox_off_[to] + inbox_len_[to]++] = &src->env[i];
       }
     }
   }
-  for (auto* src : sources_) src->clear();
 
   if (delays_on_) [[unlikely]] {
     // Last round's held-back sends join their ring slots.  Their arrivals
@@ -401,9 +439,9 @@ void SyncEngine::deliver_round() {
     // drained, and appending in lane order keeps every slot in global send
     // order.
     const std::size_t W = delay_ring_.size();
-    for (SendLane& lane : lanes_) {
+    for (SendLane& lane : lanes) {
       for (const ParkedEnvelope& p : lane.parked)
-        delay_ring_[p.arrive % W].push_back(p.env);
+        delay_ring_[p.arrive % W].push(p.to, p.env);
       pending_count_ += lane.parked.size();
       lane.parked.clear();
     }
@@ -419,7 +457,7 @@ void SyncEngine::apply_reorder() {
     // function of what was delivered, never of how lanes were interleaved.
     Rng coin(adversary_coin(adv.seed ^ kAdversaryReorderDomain, s, round_, len));
     if (!coin.bernoulli(adv.reorder)) continue;
-    Envelope* inbox = delivery_.get() + inbox_off_[s];
+    const Envelope** const inbox = store_.delivery.data() + inbox_off_[s];
     for (std::uint32_t i = len - 1; i > 0; --i)
       std::swap(inbox[i], inbox[coin.below(i + 1)]);
   }
@@ -474,7 +512,9 @@ Round SyncEngine::earliest_pending_arrival() const {
   const std::size_t W = delay_ring_.size();
   Round best = kRoundForever;
   for (std::size_t s = 0; s < W; ++s) {
-    if (delay_ring_[s].empty()) continue;
+    // The slot drained this round still backs its receivers' inboxes; no
+    // pending arrival maps to it (deliver_round).
+    if (s == held_ring_slot_ || delay_ring_[s].empty()) continue;
     // A non-empty slot holds exactly one arrival round: the unique value in
     // (round_, round_ + W] congruent to s mod W.
     const Round r = round_ + 1 + (s + W - ((round_ + 1) % W)) % W;
@@ -498,9 +538,16 @@ void SyncEngine::pop_due_wakes(std::vector<NodeId>& runnable) {
 inline void SyncEngine::step_node(Ctx& ctx, NodeId s) {
   NodeState& n = nodes_[s];
   ctx.bind(s);
-  // inbox_off_ is stale for nodes that received nothing this round; only
-  // form the pointer when there is an inbox.
-  const std::span<const Envelope> in = inbox_of(s);
+  // The process reads one contiguous span: copy the node's envelopes out of
+  // the held batches into its worker's inbox buffer.
+  std::span<const Envelope> in;
+  if (const std::span<const Envelope* const> from = inbox_of(s);
+      !from.empty()) {
+    std::vector<Envelope>& buf = ctx.lane().inbox;
+    if (buf.size() < from.size()) buf.resize(from.size());
+    for (std::size_t i = 0; i < from.size(); ++i) buf[i] = *from[i];
+    in = {buf.data(), from.size()};
+  }
   if (n.state == RunState::Unwoken) {
     n.state = RunState::Running;
     if (tracing_) {
@@ -520,7 +567,7 @@ inline void SyncEngine::step_node(Ctx& ctx, NodeId s) {
 void SyncEngine::execute_round_parallel(const std::vector<NodeId>& runnable) {
   const std::size_t total = runnable.size();
   ensure_pool().run([this, &runnable, total](unsigned w) {
-    SendLane& lane = lanes_[w];
+    SendLane& lane = store_.lanes[w];
     Ctx ctx(*this, &lane);
     const auto [lo, hi] = shard_range(w, total);
     try {
@@ -531,7 +578,7 @@ void SyncEngine::execute_round_parallel(const std::vector<NodeId>& runnable) {
   });
 
   const std::exception_ptr first_error =
-      merge_lane_counters(lanes_, result_, round_);
+      merge_lane_counters(store_.lanes, result_, round_);
   if (first_error) std::rethrow_exception(first_error);
 }
 
@@ -569,11 +616,10 @@ RunResult SyncEngine::run() {
         "churn schedule includes recoveries but processes were installed "
         "without init_processes (no factory to rebirth a node from)");
 
-  Ctx ctx(*this, &lanes_[0]);
+  Ctx ctx(*this, &store_.lanes[0]);
   std::vector<NodeId> runnable;
   runnable.reserve(64);
   running_.reserve(64);
-  lanes_[0].out.reserve(64);
 
   // Seed the wake heap with every scheduled wakeup.  Nodes scheduled "never"
   // (kRoundForever) are reachable only through message arrival.
@@ -658,7 +704,7 @@ RunResult SyncEngine::run() {
     if (!parallel_ok_ || runnable.size() < cfg_.parallel_cutoff) [[likely]] {
       // Sequential fast path: execute in slot order into lane 0 and fold its
       // counter block inline (the quiescent per-round cost lives here).
-      SendLane& lane = lanes_[0];
+      SendLane& lane = store_.lanes[0];
       try {
         for (const NodeId s : runnable) step_node(ctx, s);
       } catch (...) {
@@ -701,7 +747,7 @@ RunResult SyncEngine::run() {
       std::uint64_t inbox = 0;
       for (const NodeId s : dirty_) inbox += inbox_len_[s];
       std::uint64_t outbox = 0;
-      for (const SendLane& lane : lanes_)
+      for (const SendLane& lane : store_.lanes)
         outbox += lane.out.size() + lane.parked.size();
       metrics_.sample_round(runnable.size(), wake_heap_.size(), inbox, outbox);
     }

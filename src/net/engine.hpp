@@ -20,11 +20,22 @@
 // message is in flight are skipped wholesale, so Theorem 4.1's agents
 // stepping every 2^ID rounds stay cheap even at n = 10^6.
 //
-// Delivery uses a flat CSR-style buffer: in-flight envelopes are bucketed by
-// destination (stable, preserving send order) into one contiguous array with
-// per-node offsets, replacing the old vector-of-vectors inbox and its
-// per-node reallocation.  Messages are inline FlatMsg values (net/message.hpp)
-// with an opaque link header, so delivery moves zero heap blocks per round.
+// Delivery moves pointers, not envelopes.  A round's sends stay where their
+// senders wrote them — in the send lanes (net/outbox.hpp), which hold them
+// through the next round — and a flat CSR-style buffer of `const Envelope*`
+// buckets them by destination (stable, preserving send order), with per-node
+// offsets.  When a node steps, its worker copies the node's inbox from those
+// pointers into the lane's inbox buffer and hands the process that span.
+// Messages are inline FlatMsg values (net/message.hpp) with an opaque link
+// header, so delivery moves zero heap blocks per round.
+//
+// ROUND STORAGE OUTLIVES THE ENGINE: the send lanes — their batches and
+// inbox buffers — and the pointer buffer are taken from a per-thread cache
+// when an engine is built and handed back, emptied with capacity kept, when
+// it is destroyed (exception path included).  A thread's next run reuses
+// those pages instead of faulting in fresh ones, and each thread keeps its
+// largest run's round storage until it exits.  The storage only grows; it is
+// never pre-sized or trimmed, and no run depends on what it held before.
 //
 // PARALLEL ROUND PIPELINE (EngineConfig::threads > 1): within a round the
 // synchronous model has no intra-node dependencies — every node reads last
@@ -52,9 +63,11 @@
 //             yields the first-delivery order, every inbox offset and each
 //             worker's first write slot per destination — O(threads x
 //             distinct receivers), never a pass over the envelopes;
-//   scatter   each worker moves its chunk into its own slots.
-// Chunk w precedes chunk w+1 in send order, so every inbox comes out in send
-// order at any thread count.  Rounds below EngineConfig::parallel_cutoff
+//   scatter   each worker writes its chunk's envelope pointers into its own
+//             slots.
+// The count reads only the destination array of each batch.  Chunk w
+// precedes chunk w+1 in send order, so every inbox comes out in send order
+// at any thread count.  Rounds below EngineConfig::parallel_cutoff
 // runnable nodes stay on the sequential fast path (pool dispatch costs a few
 // microseconds; a quiescent ring round costs ~16 ns), as do traced runs
 // (the trace records the global execution order).
@@ -66,7 +79,9 @@
 // inbox purged, wake-heap re-entry).  A copy drawn a positive delay parks in
 // its sender's lane, moves into a small ring of future-arrival buckets at the
 // next delivery, and in its arrival round the due ring slot drains ahead of
-// the lanes through the same CSR bucket pass (parallel scatter included).
+// the lanes through the same CSR bucket pass (parallel scatter included); the
+// drained slot is held, like the lanes, until the next delivery.  Reordering
+// shuffles each inbox's pointers.
 // Every adverse coin is a pure function of (adversary seed, sender, edge,
 // send index), so adversarial runs are bit-for-bit identical at every thread
 // count.  With the adversary off (the default) the engine runs the exact
@@ -450,27 +465,26 @@ class SyncEngine {
   /// captured worker exception, if any.  The sequential fast path is
   /// inlined in run().
   void execute_round_parallel(const std::vector<NodeId>& runnable);
-  /// The delivered inbox of node `s` this round (empty span if none).
-  std::span<const Envelope> inbox_of(NodeId s) const {
+  /// Pointers to the envelopes delivered to node `s` this round, in inbox
+  /// order (empty span if none).  They point into the held lane batches and
+  /// the held delay-ring slot.
+  std::span<const Envelope* const> inbox_of(NodeId s) const {
     return inbox_len_[s] > 0
-               ? std::span<const Envelope>{delivery_.get() + inbox_off_[s],
-                                           inbox_len_[s]}
-               : std::span<const Envelope>{};
+               ? std::span<const Envelope* const>{
+                     store_.delivery.data() + inbox_off_[s], inbox_len_[s]}
+               : std::span<const Envelope* const>{};
   }
 
-  /// Bucket this round's sources — the due delay-ring slot, then last
-  /// round's lane outboxes in lane order (= send order) — by destination into
-  /// the CSR delivery buffer; fills dirty_ (receivers this round, in
-  /// first-delivery order).  Clears the previous round's buckets first.  At
+  /// Move every lane's sends from `out` to `held` and bucket this round's
+  /// sources — the due delay-ring slot, then the held lane batches in lane
+  /// order (= send order) — by destination into the CSR pointer buffer; fills
+  /// dirty_ (receivers this round, in first-delivery order).  Clears the
+  /// previous round's buckets and releases its held ring slot first.  At
   /// 16 x parallel_cutoff envelopes the count and the scatter run on the
   /// worker pool and only the per-worker destination lists are walked on one
   /// thread (file comment).  Afterwards the lanes' parked envelopes move into
   /// their ring slots.
   void deliver_round();
-  /// Room for `total` envelopes in the delivery buffer.  Grow-only and
-  /// geometric; the storage is left uninitialised and old contents are not
-  /// kept — the scatter writes every slot below `total` before a step reads.
-  void reserve_delivery(std::size_t total);
   /// Adversary hook inside do_send (send_faults_on_ only): roll drop /
   /// duplicate / delay coins and append each surviving copy to the lane's
   /// `out`, or to its `parked` list when drawn a positive delay.
@@ -510,15 +524,36 @@ class SyncEngine {
 
   Round round_ = 0;
 
-  // Per-worker send lanes.  lanes_[0] doubles as the sequential outbox; a
-  // round's sends live in the lanes until the next round's deliver_round()
-  // buckets them (lane order = shard order = send order).
-  std::vector<SendLane> lanes_;
+  /// The round storage that outlives the engine (file comment): one send
+  /// lane per worker — lanes[0] doubles as the sequential lane; a round's
+  /// sends stay in the lanes through the next round, while their receivers
+  /// step (lane order = shard order = send order) — and the CSR pointer
+  /// buffer.  Node s's inbox is
+  /// *delivery[inbox_off_[s] .. inbox_off_[s] + inbox_len_[s]) — valid only
+  /// for s in dirty_; the buffer grows only, and the scatter writes every
+  /// slot below a round's total before a step reads it.
+  struct RoundBuffers {
+    std::vector<SendLane> lanes;
+    std::vector<const Envelope*> delivery;
+  };
+  /// Takes the constructing thread's cached RoundBuffers, keeping any lanes
+  /// beyond this engine's worker count aside, and hands everything back
+  /// recycled on destruction — on the exception path too.  A member rather
+  /// than ~SyncEngine, so the engine keeps its implicit move; a moved-from
+  /// instance holds nothing and hands back nothing.
+  struct RecycledBuffers : RoundBuffers {
+    explicit RecycledBuffers(std::size_t lanes);
+    RecycledBuffers(RecycledBuffers&&) = default;
+    ~RecycledBuffers();
+    std::vector<SendLane> spare;  ///< cached lanes this engine does not use
+    static RoundBuffers& thread_cache();
+  };
   unsigned threads_ = 1;        // resolved worker count (cfg.threads, 0=hw)
   bool parallel_ok_ = false;    // threads_>1 and not tracing
+  RecycledBuffers store_;       // parallel_ok_ ? threads_ : 1 lanes
   std::unique_ptr<WorkerPool> pool_;            // spawned on first dense round
   // deliver_round's bucket sources, in inbox order (due ring slot, lanes).
-  std::vector<std::vector<OutboundEnvelope>*> sources_;
+  std::vector<const SendBatch*> sources_;
   // Parallel bucket pass buffers, allocated on its first use.  Worker w owns
   // row w (bucket_stride_ entries) of each: a destination histogram — counts
   // after the count step, write cursors during the scatter, all zero between
@@ -529,15 +564,7 @@ class SyncEngine {
   std::vector<std::uint32_t> bucket_touched_len_;
   std::size_t bucket_stride_ = 0;
 
-  // CSR delivery buffer: envelopes of the current round, bucketed by
-  // destination.  Node s's inbox is delivery_[inbox_off_[s] ..
-  // inbox_off_[s] + inbox_len_[s]) — valid only for s in dirty_.  Raw
-  // storage (reserve_delivery): Envelope is an implicit-lifetime aggregate.
-  struct FreeStorage {
-    void operator()(Envelope* p) const { ::operator delete(p); }
-  };
-  std::unique_ptr<Envelope[], FreeStorage> delivery_;
-  std::size_t delivery_cap_ = 0;
+  // CSR offsets into store_.delivery, per node.
   std::vector<std::uint32_t> inbox_off_;
   std::vector<std::uint32_t> inbox_len_;
   std::vector<NodeId> dirty_;        // nodes with a non-empty inbox this round
@@ -564,8 +591,11 @@ class SyncEngine {
   /// Delay ring: slot r % (max_delay + 1) holds the envelopes arriving in
   /// round r.  Live arrivals always span < max_delay + 1 distinct rounds, so
   /// slots never mix arrival rounds; each slot's contents are appended in
-  /// global send order, which makes delayed delivery deterministic.
-  std::vector<std::vector<OutboundEnvelope>> delay_ring_;
+  /// global send order, which makes delayed delivery deterministic.  The slot
+  /// drained by a delivery is held (its receivers point into it) and emptied
+  /// at the next delivery; no arrival maps to it in between.
+  std::vector<SendBatch> delay_ring_;
+  std::size_t held_ring_slot_ = 0;     // slot drained by the last delivery
   std::size_t pending_count_ = 0;      // envelopes waiting in the ring
   /// One churn schedule entry: a crash or a rebirth of `node` at the start
   /// of round `at`.  The merged schedule is sorted by (at, rebirth-first) —

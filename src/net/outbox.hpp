@@ -3,15 +3,23 @@
 //
 // --- SendLane -------------------------------------------------------------
 //
-// A SendLane is one worker's private outbox arena plus its counter block.
-// During a parallel round every worker appends the envelopes its shard of
-// nodes sends to its own lane (no shared append, no locks) and accumulates
-// message/bit/violation counts locally; after the round barrier the engine
-// merges lanes IN SLOT ORDER — shard w covers a contiguous ascending range
-// of the sorted runnable set, so concatenating lane 0, lane 1, ... w
-// reproduces the exact envelope sequence a sequential execution would have
-// produced, and summing the counter blocks reproduces the exact RunResult
-// counters.  The sequential path is the one-lane special case.
+// A SendLane is one worker's private send storage plus its counter block.
+// Sends are kept as a SendBatch: two parallel arrays, the destination slot
+// of each send and the Envelope its receiver will read.  During a parallel
+// round every worker appends the sends of its shard of nodes to its own lane
+// (no shared append, no locks) and accumulates message/bit/violation counts
+// locally; after the round barrier the engine merges lanes IN SLOT ORDER —
+// shard w covers a contiguous ascending range of the sorted runnable set, so
+// concatenating lane 0, lane 1, ... w reproduces the exact send sequence a
+// sequential execution would have produced, and summing the counter blocks
+// reproduces the exact RunResult counters.  The sequential path is the
+// one-lane special case.
+//
+// Lanes are double-buffered: `out` collects this round's sends while `held`
+// keeps last round's, which the delivery buffer points into for as long as
+// this round's receivers step.  A stepping node's inbox is copied from those
+// pointers into its worker's `inbox` buffer, so a process reads one
+// contiguous span.
 //
 // --- PortOutbox -----------------------------------------------------------
 //
@@ -36,8 +44,8 @@
 // number of concurrently outstanding protocol items per edge (a constant or
 // O(log n)).
 //
-// A queued message is stored by value together with its link header
-// (net/message.hpp), exactly what Context::send takes.
+// A queued message is stored by value; it is sent with a zero link header
+// (net/message.hpp), as every protocol that paces its sends uses none.
 //
 // Usage pattern inside a Process:
 //
@@ -56,7 +64,6 @@
 #include <cstdint>
 #include <exception>
 #include <stdexcept>
-#include <type_traits>
 #include <vector>
 
 #include "net/message.hpp"
@@ -64,35 +71,45 @@
 
 namespace ule {
 
-/// An envelope on its way to next round's inbox: destination slot, the
-/// arrival port there, the traversed edge, the message and its link header.
-struct OutboundEnvelope {
-  NodeId to = kNoNode;
-  PortId at_port = kNoPort;
-  EdgeId edge = kNoEdge;
-  FlatMsg flat;
-  LinkHeader link;
+/// Envelopes in send order, as two parallel arrays: the destination slot of
+/// each, and the Envelope (arrival port, message, link header) its receiver
+/// reads.  The delivery pass counts over `to` alone and points into `env`.
+struct SendBatch {
+  std::vector<NodeId> to;
+  std::vector<Envelope> env;
+
+  std::size_t size() const { return to.size(); }
+  bool empty() const { return to.empty(); }
+  void push(NodeId dest, const Envelope& e) {
+    to.push_back(dest);
+    env.push_back(e);
+  }
+  void clear() {
+    to.clear();
+    env.clear();
+  }
 };
 
-// Lanes, the delay ring and the CSR scatter move these by the million.
-static_assert(std::is_trivially_copyable_v<OutboundEnvelope>);
-static_assert(sizeof(OutboundEnvelope) <= 64);
-
-/// An envelope the adversary held back: it arrives in round `arrive`, later
-/// than the round after its send.
+/// An envelope the adversary held back: it arrives at `to` in round
+/// `arrive`, later than the round after its send.
 struct ParkedEnvelope {
   Round arrive = 0;
-  OutboundEnvelope env;
+  NodeId to = kNoNode;
+  Envelope env;
 };
 
-/// One worker's private outbox arena and counter block (see file comment).
+/// One worker's private send storage and counter block (see file comment).
 /// Cache-line aligned so two workers' counter increments never share a line.
 struct alignas(64) SendLane {
-  std::vector<OutboundEnvelope> out;  ///< this shard's sends due next round
+  SendBatch out;   ///< this round's sends, due next round
+  SendBatch held;  ///< last round's sends, read by this round's receivers
   /// Adversarial delays only (net/adversary.hpp, max_delay > 0): this shard's
   /// sends drawn a positive delay, in send order.  The engine moves them into
   /// its delay ring at the next delivery.  Stays empty on every other run.
   std::vector<ParkedEnvelope> parked;
+  /// The inbox of the node this worker is stepping, copied out of the
+  /// delivery buffer's pointers (grow-only; only a prefix is live).
+  std::vector<Envelope> inbox;
   std::uint64_t messages = 0;
   std::uint64_t bits = 0;
   std::uint64_t congest_violations = 0;
@@ -105,16 +122,29 @@ struct alignas(64) SendLane {
   std::uint64_t adv_delays = 0;
   bool status_changed = false;  ///< some node's status changed this round
   std::exception_ptr error;     ///< first exception thrown in this shard
+
+  /// Empty every buffer, keeping its capacity, and reset the counter block:
+  /// the lane is then as good as a fresh one for the next run.
+  void recycle() {
+    out.clear();
+    held.clear();
+    parked.clear();
+    inbox.clear();
+    messages = bits = congest_violations = 0;
+    adv_drops = adv_dups = adv_delays = 0;
+    status_changed = false;
+    error = nullptr;
+  }
 };
 
 class PortOutbox {
  public:
   /// Queue `msg` for port `port`; it is sent by the first flush() that finds
   /// no earlier message queued ahead of it on the same port.
-  void queue(PortId port, const FlatMsg& msg, const LinkHeader& link = {}) {
+  void queue(PortId port, const FlatMsg& msg) {
     if (msg.type == 0)  // fail here, not at a far-away flush()
       throw std::invalid_argument("flat message without a type tag");
-    push(port, Queued{msg, link, kNil});
+    push(port, Queued{msg, kNil});
   }
 
   /// Queue the same payload on every port of `ctx` (paced broadcast).
@@ -130,7 +160,7 @@ class PortOutbox {
       const std::uint32_t slot = heads_[p].head;
       if (slot == kNil) continue;
       Queued& head = pool_[slot];
-      ctx.send(p, head.flat, head.link);
+      ctx.send(p, head.flat);
       heads_[p].head = head.next;
       if (head.next == kNil) heads_[p].tail = kNil;
       head.next = free_;
@@ -148,7 +178,6 @@ class PortOutbox {
 
   struct Queued {
     FlatMsg flat;
-    LinkHeader link;
     std::uint32_t next;  ///< next arena slot on the same port (or free list)
   };
 

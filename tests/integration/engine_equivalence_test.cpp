@@ -93,6 +93,28 @@ ProcessFactory build_algo(const std::string& algo, const Graph& g,
     opt.adversary.max_delay = 2;
     return make_reliable(make_flood_max(), ReliableConfig{.rto = 8});
   }
+  // The delivery path under the adversary and the worker pool: a reorder
+  // that shuffles every multi-message inbox; the ARQ layer under every
+  // send fault at once (duplicate copies, parked envelopes, the due delay
+  // slot, reordered inboxes); and the sharded scatter on a clique.
+  if (algo == "flood_max_reorder") {
+    opt.adversary.seed = 11;
+    opt.adversary.reorder = 0.5;
+    return make_flood_max();
+  }
+  if (algo == "reliable_flood_max_faulty") {
+    opt.adversary.seed = 13;
+    opt.adversary.drop = 0.1;
+    opt.adversary.duplicate = 0.05;
+    opt.adversary.reorder = 0.3;
+    opt.adversary.max_delay = 2;
+    return make_reliable(make_flood_max(), ReliableConfig{.rto = 8});
+  }
+  if (algo == "flood_max_parallel") {
+    opt.threads = 4;
+    opt.parallel_cutoff = 1;
+    return make_flood_max();
+  }
   if (algo == "least_el_all") {
     opt.knowledge = Knowledge::of_n(g.n());
     return make_least_el(LeastElConfig::all_candidates());
@@ -160,6 +182,10 @@ const CaseSpec kCases[] = {
     {"reliable_flood_max_lossy", "cycle24"},
     {"reliable_flood_max_lossy", "grid4x6"},
     {"reliable_flood_max_lossy", "gnm40_100"},
+    {"flood_max_reorder", "complete12"}, {"flood_max_reorder", "gnm40_100"},
+    {"reliable_flood_max_faulty", "grid4x6"},
+    {"reliable_flood_max_faulty", "gnm40_100"},
+    {"flood_max_parallel", "complete64"},
 };
 
 GoldenRow run_case(const CaseSpec& c, std::uint64_t seed) {
@@ -277,6 +303,18 @@ const GoldenRow kGolden[] = {
     {"reliable_flood_max_lossy", "grid4x6", 2, 153, 1136, 189708, 1, 23, 0, 161, 144, 23},
     {"reliable_flood_max_lossy", "gnm40_100", 1, 276, 2846, 482982, 1, 39, 0, 541, 123, 37},
     {"reliable_flood_max_lossy", "gnm40_100", 2, 204, 3119, 531480, 1, 39, 0, 619, 115, 38},
+    // Delivery-path cells (reorder, every send fault under ARQ, the sharded
+    // scatter), recorded while deliver_round still copied whole envelopes.
+    {"flood_max_reorder", "complete12", 1, 6, 484, 66792, 1, 11, 0, 0, 5, 5},
+    {"flood_max_reorder", "complete12", 2, 6, 484, 66792, 1, 11, 0, 0, 5, 11},
+    {"flood_max_reorder", "gnm40_100", 1, 12, 972, 134136, 1, 39, 0, 0, 11, 37},
+    {"flood_max_reorder", "gnm40_100", 2, 13, 1030, 142140, 1, 39, 0, 0, 12, 38},
+    {"reliable_flood_max_faulty", "grid4x6", 1, 73, 823, 134880, 1, 23, 0, 81, 69, 5},
+    {"reliable_flood_max_faulty", "grid4x6", 2, 134, 1074, 176826, 1, 23, 0, 161, 103, 23},
+    {"reliable_flood_max_faulty", "gnm40_100", 1, 74, 2107, 358842, 1, 39, 0, 240, 66, 37},
+    {"reliable_flood_max_faulty", "gnm40_100", 2, 89, 2148, 366624, 1, 39, 0, 255, 87, 38},
+    {"flood_max_parallel", "complete64", 1, 6, 15876, 2190888, 1, 63, 0, 0, 5, 43},
+    {"flood_max_parallel", "complete64", 2, 6, 15876, 2190888, 1, 63, 0, 0, 5, 42},
     // clang-format on
 };
 

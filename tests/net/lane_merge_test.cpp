@@ -2,14 +2,16 @@
 // end-to-end by the parallel-determinism matrix): counter-block summation
 // and fold order with hand-crafted SendLanes, first-exception-in-lane-order
 // selection, the preservation of send order through the lane concatenation
-// at the receiving side, and byte-identical inboxes out of the parallel CSR
-// bucket pass at every thread count.
+// at the receiving side, byte-identical inboxes out of the parallel CSR
+// bucket pass at every thread count, and round storage that a thread reuses
+// across runs without carrying anything from one run into the next.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "graphgen/generators.hpp"
@@ -267,22 +269,45 @@ class InboxDigestProcess final : public Process {
   std::uint64_t digest_ = 0xcbf29ce484222325ULL;
 };
 
+/// Everything a run of InboxDigestProcess leaves behind.
+struct DigestRun {
+  RunResult result;
+  std::vector<Status> statuses;
+  std::vector<std::uint64_t> sent_by_node;
+  std::vector<std::uint64_t> digests;
+};
+
+DigestRun digest_run(const Graph& g, const EngineConfig& cfg) {
+  SyncEngine eng(g, cfg);
+  eng.init_processes(
+      [](NodeId) { return std::make_unique<InboxDigestProcess>(); });
+  DigestRun out;
+  out.result = eng.run();
+  out.sent_by_node = eng.sent_by_node();
+  for (NodeId s = 0; s < g.n(); ++s) {
+    out.statuses.push_back(eng.status(s));
+    out.digests.push_back(
+        dynamic_cast<const InboxDigestProcess*>(eng.process(s))->digest());
+  }
+  return out;
+}
+
+/// Delays put the due ring slot and the lanes into one bucket pass.
+void add_delays_and_duplicates(EngineConfig& cfg) {
+  cfg.adversary.seed = 0xD1CE;
+  cfg.adversary.max_delay = 2;
+  cfg.adversary.duplicate = 0.1;
+}
+
 std::vector<std::uint64_t> inbox_digests(unsigned threads, bool adversarial) {
   const Graph g = make_complete(64);
   EngineConfig cfg;
   cfg.seed = 11;
   cfg.threads = threads;
   cfg.parallel_cutoff = 1;  // every flood round takes the parallel bucket pass
-  if (adversarial) {
-    // Delays put the due ring slot and the lanes into one bucket pass.
-    cfg.adversary.seed = 0xD1CE;
-    cfg.adversary.max_delay = 2;
-    cfg.adversary.duplicate = 0.1;
-  }
-  SyncEngine eng(g, cfg);
-  eng.init_processes(
-      [](NodeId) { return std::make_unique<InboxDigestProcess>(); });
-  const RunResult res = eng.run();
+  if (adversarial) add_delays_and_duplicates(cfg);
+  const DigestRun run = digest_run(g, cfg);
+  const RunResult& res = run.result;
   EXPECT_TRUE(res.completed);
   EXPECT_EQ(res.messages,
             64u * 63u * static_cast<std::uint64_t>(
@@ -291,11 +316,7 @@ std::vector<std::uint64_t> inbox_digests(unsigned threads, bool adversarial) {
     EXPECT_GT(res.adv_delays, 0u);
     EXPECT_GT(res.adv_dups, 0u);
   }
-  std::vector<std::uint64_t> digests;
-  for (NodeId s = 0; s < g.n(); ++s)
-    digests.push_back(
-        dynamic_cast<const InboxDigestProcess*>(eng.process(s))->digest());
-  return digests;
+  return run.digests;
 }
 
 TEST(LaneMerge, InboxesAreIdenticalAtEveryThreadCount) {
@@ -306,6 +327,83 @@ TEST(LaneMerge, InboxesAreIdenticalAtEveryThreadCount) {
           << "threads " << t << (adversarial ? " (delay + dup)" : " (clean)");
     }
   }
+}
+
+/// Floods every port in rounds 0 and 1; the culprit also sends a second
+/// message on port 0 in round 1, which CongestMode::Enforce throws on in the
+/// middle of a dense round.
+class DoubleSendProcess final : public Process {
+ public:
+  explicit DoubleSendProcess(bool culprit) : culprit_(culprit) {}
+  void on_wake(Context& ctx, std::span<const Envelope> inbox) override {
+    on_round(ctx, inbox);
+  }
+  void on_round(Context& ctx, std::span<const Envelope>) override {
+    if (ctx.round() > 1) {
+      ctx.idle();
+      return;
+    }
+    FlatMsg m;
+    m.type = 5;
+    m.channel = 41;
+    m.bits = 64;
+    m.a = ctx.slot();
+    for (PortId p = 0; p < ctx.degree(); ++p) ctx.send(p, m);
+    if (culprit_ && ctx.round() == 1) ctx.send(0, m);
+  }
+
+ private:
+  bool culprit_;
+};
+
+// The engine's lanes and delivery buffer outlive it in a per-thread cache.
+// After runs that leave every kind of storage behind — parked and duplicated
+// envelopes across four lanes, a run abandoned mid-round by a throw, thread
+// counts that take and hand back different numbers of lanes — a small run on
+// the same thread must equal the same run on a fresh thread, whose cache is
+// empty.
+TEST(LaneMerge, ReusedRoundStorageNeverLeaksBetweenRuns) {
+  const Graph small = make_complete(12);
+  EngineConfig ref;
+  ref.seed = 5;
+  ref.threads = 3;
+  ref.parallel_cutoff = 1;
+  add_delays_and_duplicates(ref);
+  ref.adversary.reorder = 0.3;
+
+  DigestRun fresh;
+  std::thread([&] { fresh = digest_run(small, ref); }).join();
+  ASSERT_TRUE(fresh.result.completed);
+  ASSERT_GT(fresh.result.adv_delays, 0u);
+
+  // One thread runs the whole sequence, so every run reuses what the one
+  // before it handed back.
+  std::thread([&] {
+    const auto first = inbox_digests(4, /*adversarial=*/true);
+    {
+      const Graph k64 = make_complete(64);
+      EngineConfig enforce;
+      enforce.seed = 3;
+      enforce.threads = 4;
+      enforce.parallel_cutoff = 1;
+      enforce.congest = CongestMode::Enforce;
+      add_delays_and_duplicates(enforce);
+      SyncEngine eng(k64, enforce);
+      eng.init_processes([](NodeId s) {
+        return std::make_unique<DoubleSendProcess>(s == 40);
+      });
+      EXPECT_THROW(eng.run(), std::runtime_error);
+    }
+    EXPECT_EQ(inbox_digests(4, /*adversarial=*/true), first);
+    EXPECT_EQ(inbox_digests(1, /*adversarial=*/true), first);
+    EXPECT_EQ(inbox_digests(2, /*adversarial=*/true), first);
+
+    const DigestRun reused = digest_run(small, ref);
+    EXPECT_TRUE(diff_counters(fresh.result, reused.result).empty());
+    EXPECT_EQ(reused.statuses, fresh.statuses);
+    EXPECT_EQ(reused.sent_by_node, fresh.sent_by_node);
+    EXPECT_EQ(reused.digests, fresh.digests);
+  }).join();
 }
 
 }  // namespace

@@ -198,14 +198,21 @@ int main(int argc, char** argv) {
               rep.time_budget_hit ? " (time budget hit)" : "");
 
   if (stats) {
-    std::printf("\nenvelope headroom (max observed / registered bound):\n");
-    std::printf("  %-20s %6s %14s %14s\n", "protocol", "runs", "rounds",
-                "messages");
-    for (const EnvelopeStat& s : rep.envelope_stats) {
-      if (s.runs == 0) continue;
-      std::printf("  %-20s %6zu %13.1f%% %13.1f%%\n", s.protocol.c_str(),
-                  s.runs, 100.0 * s.max_round_ratio,
-                  100.0 * s.max_message_ratio);
+    std::size_t measured = 0;
+    for (const EnvelopeStat& s : rep.envelope_stats) measured += s.runs;
+    if (measured == 0) {
+      std::printf("\nenvelope headroom: no fault-free draw ran; headroom is "
+                  "measured on fault-free runs only\n");
+    } else {
+      std::printf("\nenvelope headroom (max observed / registered bound):\n");
+      std::printf("  %-20s %6s %14s %14s\n", "protocol", "runs", "rounds",
+                  "messages");
+      for (const EnvelopeStat& s : rep.envelope_stats) {
+        if (s.runs == 0) continue;
+        std::printf("  %-20s %6zu %13.1f%% %13.1f%%\n", s.protocol.c_str(),
+                    s.runs, 100.0 * s.max_round_ratio,
+                    100.0 * s.max_message_ratio);
+      }
     }
   }
 
