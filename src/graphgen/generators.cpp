@@ -1,10 +1,10 @@
 #include "graphgen/generators.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "graphgen/graph_algos.hpp"
@@ -18,6 +18,37 @@ std::uint64_t edge_key(NodeId a, NodeId b) {
   if (a > b) std::swap(a, b);
   return (static_cast<std::uint64_t>(a) << 32) | b;
 }
+
+// Set of edge keys for the rejection sampler: one flat open-addressing table
+// with linear probing, sized up front to a power of two of at least twice the
+// keys it will hold, so an insert never allocates or rehashes.  Key 0 would be
+// the self-loop (0, 0), which is never inserted, so 0 marks an empty slot.
+class EdgeKeySet {
+ public:
+  explicit EdgeKeySet(std::size_t max_keys) {
+    std::size_t slots = 16;
+    while (slots < 2 * max_keys) slots *= 2;
+    slots_.assign(slots, 0);
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
+  }
+
+  /// Adds `key`; false if it was already present.
+  bool insert(std::uint64_t key) {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = (key * 0x9E3779B97F4A7C15ULL) >> shift_;;
+         i = (i + 1) & mask) {
+      if (slots_[i] == key) return false;
+      if (slots_[i] == 0) {
+        slots_[i] = key;
+        return true;
+      }
+    }
+  }
+
+ private:
+  std::vector<std::uint64_t> slots_;
+  unsigned shift_ = 0;
+};
 }  // namespace
 
 Graph make_path(std::size_t n) {
@@ -158,8 +189,7 @@ Graph make_random_connected(std::size_t n, std::size_t m, Rng& rng) {
 
   EdgeList e;
   e.reserve(m);
-  std::unordered_set<std::uint64_t> used;
-  used.reserve(m * 2);
+  EdgeKeySet used(m);
 
   // Random spanning tree: random permutation, attach each node to a random
   // earlier one (uniform random recursive tree on a shuffled labelling).
@@ -177,7 +207,7 @@ Graph make_random_connected(std::size_t n, std::size_t m, Rng& rng) {
     const NodeId u = static_cast<NodeId>(rng.below(n));
     const NodeId v = static_cast<NodeId>(rng.below(n));
     if (u == v) continue;
-    if (!used.insert(edge_key(u, v)).second) continue;
+    if (!used.insert(edge_key(u, v))) continue;
     e.emplace_back(u, v);
   }
   return Graph::from_edges(n, e);

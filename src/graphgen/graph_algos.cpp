@@ -5,24 +5,37 @@
 
 namespace ule {
 
-std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId src) {
-  std::vector<std::uint32_t> dist(g.n(), kUnreachable);
-  std::vector<NodeId> frontier{src}, next;
+namespace {
+
+// Breadth-first search from `src` into a caller-supplied workspace: `dist`
+// holds n entries, all kUnreachable on entry, and `queue` n slots.  Returns
+// how many nodes were reached; they sit in queue[0, count) in visiting order,
+// so the last one is the farthest and a caller can reset just their entries.
+std::size_t bfs_into(const Graph& g, NodeId src,
+                     std::vector<std::uint32_t>& dist,
+                     std::vector<NodeId>& queue) {
+  std::size_t head = 0;
+  std::size_t tail = 0;
   dist[src] = 0;
-  std::uint32_t d = 0;
-  while (!frontier.empty()) {
-    ++d;
-    next.clear();
-    for (const NodeId u : frontier) {
-      for (const auto& he : g.ports(u)) {
-        if (dist[he.to] == kUnreachable) {
-          dist[he.to] = d;
-          next.push_back(he.to);
-        }
+  queue[tail++] = src;
+  while (head < tail) {
+    const NodeId u = queue[head++];
+    for (const auto& he : g.ports(u)) {
+      if (dist[he.to] == kUnreachable) {
+        dist[he.to] = dist[u] + 1;
+        queue[tail++] = he.to;
       }
     }
-    frontier.swap(next);
   }
+  return tail;
+}
+
+}  // namespace
+
+std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId src) {
+  std::vector<std::uint32_t> dist(g.n(), kUnreachable);
+  std::vector<NodeId> queue(g.n());
+  bfs_into(g, src, dist, queue);
   return dist;
 }
 
@@ -44,8 +57,17 @@ bool is_connected(const Graph& g) {
 }
 
 std::uint32_t diameter_exact(const Graph& g) {
+  // One BFS workspace serves all n sources; after each BFS only the visited
+  // nodes' `dist` entries are reset.
+  std::vector<std::uint32_t> dist(g.n(), kUnreachable);
+  std::vector<NodeId> queue(g.n());
   std::uint32_t best = 0;
-  for (NodeId u = 0; u < g.n(); ++u) best = std::max(best, eccentricity(g, u));
+  for (NodeId src = 0; src < g.n(); ++src) {
+    const std::size_t reached = bfs_into(g, src, dist, queue);
+    if (reached < g.n()) throw std::runtime_error("graph is disconnected");
+    best = std::max(best, dist[queue[reached - 1]]);
+    for (std::size_t i = 0; i < reached; ++i) dist[queue[i]] = kUnreachable;
+  }
   return best;
 }
 

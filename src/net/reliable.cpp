@@ -48,8 +48,7 @@ void ReliableProcess::arm_deadline(PortState& ps, Round now) const {
       ps.unacked.empty() ? kRoundForever : now + interval(ps.attempts);
 }
 
-void ReliableProcess::ingest(Context& ctx, std::span<const Envelope> inbox,
-                             std::vector<Envelope>& inner_inbox) {
+void ReliableProcess::ingest(Context& ctx, std::span<const Envelope> inbox) {
   const Round now = ctx.round();
   // Every peer runs the same wrapped factory, so every arrival is a frame:
   // a pure ack when its seq is 0, a data frame otherwise.
@@ -97,11 +96,11 @@ void ReliableProcess::ingest(Context& ctx, std::span<const Envelope> inbox,
       ps.ack_due = true;
     } else if (hdr.seq == ps.expected) {
       // In order: deliver, then drain every parked successor.
-      inner_inbox.push_back(Envelope{env.port, inner, {}});
+      inner_inbox_.push_back(Envelope{env.port, inner, {}});
       ++ps.expected;
       for (auto it = ps.parked.find(ps.expected); it != ps.parked.end();
            it = ps.parked.find(ps.expected)) {
-        inner_inbox.push_back(Envelope{env.port, it->second, {}});
+        inner_inbox_.push_back(Envelope{env.port, it->second, {}});
         ps.parked.erase(it);
         ++ps.expected;
       }
@@ -208,14 +207,13 @@ void ReliableProcess::run_step(Context& ctx, std::span<const Envelope> inbox,
                                bool wake) {
   if (ports_.empty() && ctx.degree() > 0) ports_.resize(ctx.degree());
 
-  std::vector<Envelope> inner_inbox;
-  inner_inbox.reserve(inbox.size());
-  ingest(ctx, inbox, inner_inbox);
+  inner_inbox_.clear();
+  ingest(ctx, inbox);
 
   // The inner sees the reassembled messages; a pure retransmit or ack wake
   // does not step it.
   LinkCtx lc(ctx, *this);
-  step_inner(lc, inner_inbox, wake);
+  step_inner(lc, inner_inbox_, wake);
 
   flush(ctx);
 

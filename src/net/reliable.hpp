@@ -176,8 +176,9 @@ class ReliableProcess final : public WrappedProcess {
 
   void run_step(Context& ctx, std::span<const Envelope> inbox,
                 bool wake) override;
-  void ingest(Context& ctx, std::span<const Envelope> inbox,
-              std::vector<Envelope>& inner_inbox);
+  /// Reads the frames in `inbox` and appends the inner messages they
+  /// complete, in delivery order, to inner_inbox_.
+  void ingest(Context& ctx, std::span<const Envelope> inbox);
   void enqueue_data(PortId port, const FlatMsg& msg, Round now);
   void flush(Context& ctx);
   /// Put one frame on the wire: `msg` billed with the header, which carries
@@ -191,6 +192,9 @@ class ReliableProcess final : public WrappedProcess {
 
   ReliableConfig cfg_;
   std::vector<PortState> ports_;
+  /// The inner's inbox for the current step; cleared at the top of each
+  /// step, its capacity kept across steps.
+  std::vector<Envelope> inner_inbox_;
   std::uint64_t retransmissions_ = 0;
   std::uint64_t duplicate_drops_ = 0;
   std::uint64_t parked_frames_ = 0;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "graphgen/generators.hpp"
 
 namespace ule {
@@ -32,6 +35,28 @@ TEST(GraphAlgos, DoubleSweepBracketsDiameter) {
   const auto [lb, ub] = diameter_double_sweep(g);
   EXPECT_LE(lb, exact);
   EXPECT_GE(ub, exact);
+}
+
+TEST(GraphAlgos, DiameterExactIsTheLargestEccentricity) {
+  // diameter_exact shares one BFS workspace across its sources; each source
+  // must still see a fresh one.
+  std::vector<Graph> graphs{make_path(9), make_cycle(11), make_star(6),
+                            make_grid(3, 7), make_lollipop(5, 4),
+                            make_barbell(4, 3)};
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    graphs.push_back(make_random_connected(40, 45 + 10 * seed, rng));
+  }
+  for (const Graph& g : graphs) {
+    std::uint32_t want = 0;
+    for (NodeId u = 0; u < g.n(); ++u) want = std::max(want, eccentricity(g, u));
+    EXPECT_EQ(diameter_exact(g), want) << g.summary();
+  }
+}
+
+TEST(GraphAlgos, DiameterExactThrowsOnDisconnected) {
+  const Graph g = Graph::from_edges(5, {{0, 1}, {1, 2}, {3, 4}});
+  EXPECT_THROW(diameter_exact(g), std::runtime_error);
 }
 
 TEST(GraphAlgos, ConnectivityDetectsDisconnected) {

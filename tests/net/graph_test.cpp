@@ -52,6 +52,38 @@ TEST(Graph, RejectsDuplicateEdge) {
   EXPECT_THROW(Graph::from_edges(2, {{0, 1}, {1, 0}}), std::invalid_argument);
 }
 
+TEST(Graph, RejectsReversedDuplicateFarFromItsTwin) {
+  // A path 0-1-...-99 then (1, 0): the duplicate is 99 edges after its twin
+  // and written the other way round.
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId i = 0; i + 1 < 100; ++i) edges.emplace_back(i, i + 1);
+  edges.emplace_back(1, 0);
+  EXPECT_THROW(Graph::from_edges(100, edges), std::invalid_argument);
+}
+
+TEST(Graph, PortsFollowEdgeListOrder) {
+  const Graph g = Graph::from_edges(4, {{2, 0}, {0, 3}, {3, 2}, {1, 0}});
+  ASSERT_EQ(g.degree(0), 3u);
+  EXPECT_EQ(g.half_edge(0, 0).to, 2u);
+  EXPECT_EQ(g.half_edge(0, 1).to, 3u);
+  EXPECT_EQ(g.half_edge(0, 2).to, 1u);
+  EXPECT_EQ(g.half_edge(2, 0).rev, 0u);
+  EXPECT_EQ(g.half_edge(2, 1).to, 3u);
+  EXPECT_EQ(g.half_edge(2, 1).rev, 1u);
+  EXPECT_EQ(g.half_edge(1, 0).edge, 3u);
+}
+
+TEST(Graph, EmptyGraphsHaveNoNodes) {
+  const Graph none;
+  EXPECT_EQ(none.n(), 0u);
+  EXPECT_EQ(none.m(), 0u);
+  EXPECT_EQ(none.max_degree(), 0u);
+  const Graph zero = Graph::from_edges(0, {});
+  EXPECT_EQ(zero.n(), 0u);
+  EXPECT_EQ(zero.m(), 0u);
+  EXPECT_EQ(zero.summary(), "n=0 m=0 maxdeg=0");
+}
+
 TEST(Graph, RejectsOutOfRange) {
   EXPECT_THROW(Graph::from_edges(2, {{0, 2}}), std::invalid_argument);
 }
