@@ -11,6 +11,7 @@
 
 #include "net/rng.hpp"
 #include "net/worker_pool.hpp"
+#include "scenario/runner.hpp"
 
 namespace ule::lab {
 
@@ -335,7 +336,8 @@ CampaignResult run_campaign(const ProtocolRegistry& protocols,
   // --- execute replicate-parallel on the worker pool --------------------
   // Workers claim runs off a shared counter; slots are preassigned by item
   // index, so the schedule never influences aggregation order.
-  ScenarioRunConfig run_cfg = cfg.run;
+  // Replicates run at engine threads = 1, so there is no determinism rerun.
+  ScenarioRunConfig run_cfg;
   run_cfg.check_determinism = false;
   // Telemetry only on replicate 0 (per-cell metrics, not per-replicate): the
   // per-item config below switches it on where items[i].rep == 0.

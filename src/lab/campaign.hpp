@@ -52,7 +52,6 @@
 #include "lab/fit.hpp"
 #include "net/metrics.hpp"
 #include "scenario/registry.hpp"
-#include "scenario/runner.hpp"
 
 namespace ule::lab {
 
@@ -92,9 +91,6 @@ struct CampaignConfig {
   /// quick-campaign baselines are metrics-free, and the trend gate compares
   /// only fields present in both documents.
   bool metrics = false;
-  /// Forwarded to run_scenario (check_determinism is forced off: replicates
-  /// run with engine threads = 1; parallelism lives at the replicate level).
-  ScenarioRunConfig run;
 };
 
 /// Order statistics over one cell's replicate counters.  Median is the lower

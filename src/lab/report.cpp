@@ -217,7 +217,7 @@ std::string registry_markdown(const ProtocolRegistry& protocols,
   md += "# Protocol & family registry reference\n\n";
   md +=
       "<!-- GENERATED FILE — do not edit.  Regenerate from the repo root "
-      "with:\n       ./build/complexity_lab --list-registry --markdown > "
+      "with:\n       ./build/complexity_lab --list-registry > "
       "docs/REGISTRY.md\n     CI regenerates this file and fails on drift. "
       "-->\n\n";
   md += "The single source of truth is `src/scenario/registry.cpp` "

@@ -406,7 +406,6 @@ class SyncEngine {
   Uid uid_of(NodeId slot) const { return uids_.empty() ? 0 : uids_[slot]; }
   bool anonymous() const { return uids_.empty(); }
   const RunResult& result() const { return result_; }
-  std::uint64_t messages_sent() const { return result_.messages; }
   const std::vector<std::uint64_t>& sent_by_node() const { return sent_by_node_; }
   /// Requires cfg.trace_limit > 0.  Truncated at trace_limit events.
   const std::vector<TraceEvent>& trace() const { return trace_; }

@@ -74,10 +74,9 @@ ScenarioAdversary draw_adversary(Rng& rng, std::uint8_t safe,
 }
 
 bool still_fails(const ProtocolRegistry& protocols,
-                 const FamilyRegistry& families, const Scenario& s,
-                 const ScenarioRunConfig& cfg) {
+                 const FamilyRegistry& families, const Scenario& s) {
   try {
-    return !run_scenario(protocols, families, s, cfg).ok();
+    return !run_scenario(protocols, families, s).ok();
   } catch (const std::invalid_argument&) {
     return false;  // candidate is not even a valid scenario
   }
@@ -151,8 +150,7 @@ Scenario draw_scenario(Rng& rng, const ProtocolRegistry& protocols,
 
 Scenario shrink_scenario(const ProtocolRegistry& protocols,
                          const FamilyRegistry& families,
-                         const Scenario& failing, const ScenarioRunConfig& cfg,
-                         std::size_t* steps) {
+                         const Scenario& failing, std::size_t* steps) {
   constexpr std::size_t kMaxSteps = 64;
   Scenario cur = failing;
   std::size_t adopted = 0;
@@ -290,7 +288,7 @@ Scenario shrink_scenario(const ProtocolRegistry& protocols,
 
     for (Scenario& c : candidates) {
       if (c == cur) continue;
-      if (still_fails(protocols, families, c, cfg)) {
+      if (still_fails(protocols, families, c)) {
         cur = std::move(c);
         ++adopted;
         progressed = true;
@@ -338,7 +336,7 @@ FuzzReport run_fuzz(const ProtocolRegistry& protocols,
         draw_scenario(rng, protocols, families, cfg.max_n,
                       cfg.threads_fraction, cfg.adversary_fraction,
                       cfg.protocol_filter, cfg.churn_fraction);
-    const ScenarioOutcome out = run_scenario(protocols, families, s, cfg.run);
+    const ScenarioOutcome out = run_scenario(protocols, families, s);
     ++report.scenarios_run;
     if (out.report.verdict.unique_leader) ++report.runs_elected;
     const ProtocolInfo& proto = protocols.at(s.protocol);
@@ -370,10 +368,10 @@ FuzzReport run_fuzz(const ProtocolRegistry& protocols,
         for (const std::string& v : out.violations) *log << "  " << v << "\n";
       }
       if (cfg.shrink) {
-        fail.minimal = shrink_scenario(protocols, families, s, cfg.run,
-                                       &fail.shrink_steps);
+        fail.minimal =
+            shrink_scenario(protocols, families, s, &fail.shrink_steps);
         fail.minimal_violations =
-            run_scenario(protocols, families, fail.minimal, cfg.run).violations;
+            run_scenario(protocols, families, fail.minimal).violations;
         if (log)
           *log << "  shrunk (" << fail.shrink_steps
                << " steps) to: " << fail.minimal.encode() << "\n";

@@ -61,7 +61,6 @@ struct FuzzConfig {
   /// Lets CI aim a dedicated slice at e.g. the `*_reliable` fleet.
   std::string protocol_filter;
   bool shrink = true;
-  ScenarioRunConfig run;
 };
 
 struct FuzzFailure {
@@ -108,7 +107,7 @@ Scenario draw_scenario(Rng& rng, const ProtocolRegistry& protocols,
 /// number of adopted simplifications.
 Scenario shrink_scenario(const ProtocolRegistry& protocols,
                          const FamilyRegistry& families,
-                         const Scenario& failing, const ScenarioRunConfig& cfg,
+                         const Scenario& failing,
                          std::size_t* steps = nullptr);
 
 /// Run the full fuzz loop.  `log`, when non-null, receives progress lines

@@ -122,13 +122,32 @@ TEST(LeastEl, UidTiebreakMakesTinyRankSpaceSafe) {
 }
 
 TEST(LeastEl, WorksAnonymously) {
-  const Graph g = make_torus(4, 5);
-  auto cfg = LeastElConfig::all_candidates();
-  cfg.tiebreak = LeastElConfig::Tiebreak::Random;
-  RunOptions opt = with_n(g, 8);
-  opt.anonymous = true;
-  const auto rep = run_election(g, make_least_el(cfg), opt);
-  EXPECT_TRUE(rep.verdict.unique_leader);
+  // Private coins stand in for identities (Section 2): a random tiebreak, or
+  // no tiebreak at all over a rank space so large (2^40 on a 32-ring) that
+  // two minimal ranks collide with probability below 5e-10 per run.
+  struct Input {
+    Graph g;
+    LeastElConfig::Tiebreak tiebreak;
+    std::uint64_t rank_space;  // 0 = auto (n^4)
+    std::uint64_t first_seed, last_seed;
+  };
+  const Input inputs[] = {
+      {make_torus(4, 5), LeastElConfig::Tiebreak::Random, 0, 8, 8},
+      {make_cycle(32), LeastElConfig::Tiebreak::None, std::uint64_t{1} << 40,
+       1, 400},
+  };
+  for (const Input& in : inputs) {
+    auto cfg = LeastElConfig::all_candidates();
+    cfg.tiebreak = in.tiebreak;
+    cfg.rank_space = in.rank_space;
+    for (std::uint64_t seed = in.first_seed; seed <= in.last_seed; ++seed) {
+      RunOptions opt = with_n(in.g, seed);
+      opt.anonymous = true;
+      const auto rep = run_election(in.g, make_least_el(cfg), opt);
+      EXPECT_TRUE(rep.verdict.unique_leader)
+          << in.g.summary() << " seed " << seed;
+    }
+  }
 }
 
 TEST(LeastEl, ToleratesAdversarialWakeup) {

@@ -205,7 +205,7 @@ TEST(Fuzzer, ShrinkStopsAtTheFailureBoundary) {
 
   std::size_t steps = 0;
   const Scenario minimal =
-      shrink_scenario(broken, default_families(), s, {}, &steps);
+      shrink_scenario(broken, default_families(), s, &steps);
   EXPECT_GT(steps, 0u);
   EXPECT_FALSE(run_scenario(broken, default_families(), minimal).ok());
   // n = 10 is the smallest failing size; 9 passes, so the shrinker must

@@ -22,10 +22,9 @@
 //   complexity_lab --md FILE             report path (docs/COMPLEXITY.md)
 //   complexity_lab --no-md / --no-json   skip an output
 //   complexity_lab --no-check            exit 0 even when fits fail
-//   complexity_lab --list-registry       print the registries (plain text)
-//   complexity_lab --list-registry --markdown
-//                                        emit docs/REGISTRY.md to stdout
-//                                        (CI regenerates + diffs it)
+//   complexity_lab --list-registry       print the registry reference, the
+//                                        bytes of docs/REGISTRY.md (CI
+//                                        regenerates + diffs it)
 //   complexity_lab --trend BASELINE CURRENT
 //                                        diff two BENCH_lab.json documents
 //                                        and fail on drift in any
@@ -47,15 +46,13 @@
 // Exit status: 0 = every fit in band and zero conformance violations (for
 // --trend: no drift; for --validate-metrics: schema OK), 1 = a fit left its
 // band, a run violated an invariant, the trend gate found drift or the
-// snapshot failed validation, 2 = usage errors.
+// snapshot failed validation, 2 = usage errors (a malformed number included).
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
-#include <vector>
 
+#include "cli_args.hpp"
 #include "json/bench_doc.hpp"
 #include "lab/campaign.hpp"
 #include "lab/report.hpp"
@@ -64,48 +61,6 @@
 #include "scenario/registry.hpp"
 
 using namespace ule;
-
-namespace {
-
-void print_registry_plain(const ProtocolRegistry& protos,
-                          const FamilyRegistry& fams) {
-  std::printf("protocols (%zu):\n", protos.all().size());
-  for (const ProtocolInfo& p : protos.all()) {
-    std::printf("  %-20s %-13s min-knowledge=%-4s%s%s%s\n", p.name.c_str(),
-                to_string(p.contract), to_string(p.min_knowledge),
-                p.wakeup_tolerant ? " wakeup-tolerant" : "",
-                p.needs_complete ? " complete-only" : "",
-                p.explicit_overlay ? " explicit-overlay" : "");
-    for (const GrowthExpectation& e : p.growth)
-      std::printf("    growth: %s %s ~ n^%.2f +- %.2f  (%s)\n",
-                  e.family.c_str(), e.metric.c_str(), e.exponent, e.tol,
-                  e.note.c_str());
-  }
-  std::printf("families (%zu):\n", fams.all().size());
-  for (const FamilyInfo& f : fams.all()) {
-    std::printf("  %-12s", f.name.c_str());
-    for (const ParamSpec& ps : f.params)
-      std::printf(" %s in [%llu,%llu]", ps.name.c_str(),
-                  static_cast<unsigned long long>(ps.lo),
-                  static_cast<unsigned long long>(ps.hi));
-    std::printf("%s\n", f.complete ? "  (complete)" : "");
-  }
-}
-
-std::vector<std::uint64_t> parse_ladder(const char* arg) {
-  std::vector<std::uint64_t> out;
-  const std::string s = arg;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    out.push_back(std::strtoull(s.substr(pos, comma - pos).c_str(), nullptr, 10));
-    pos = comma + 1;
-  }
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const ProtocolRegistry& protos = default_protocols();
@@ -118,59 +73,51 @@ int main(int argc, char** argv) {
   std::string trend_baseline, trend_current;
   std::string validate_metrics_path;
   bool write_json = true, write_md = true, check = true;
-  bool list_registry = false, markdown = false, trend = false;
+  bool list_registry = false, trend = false;
   bool replicates_set = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto need_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  cli::ArgReader args(argc, argv);
+  while (args.next()) {
+    const std::string arg = args.flag();
     if (arg == "--quick") {
       cfg.quick = true;
     } else if (arg == "--seed") {
-      cfg.master_seed = std::strtoull(need_value("--seed"), nullptr, 10);
+      cfg.master_seed = args.number<std::uint64_t>();
     } else if (arg == "--replicates") {
-      cfg.replicates = std::strtoull(need_value("--replicates"), nullptr, 10);
+      cfg.replicates = args.number<std::size_t>();
       replicates_set = true;
     } else if (arg == "--threads") {
-      cfg.threads =
-          static_cast<unsigned>(std::strtoul(need_value("--threads"), nullptr, 10));
+      cfg.threads = args.number<unsigned>();
     } else if (arg == "--protocol") {
-      cfg.protocols.push_back(need_value("--protocol"));
+      cfg.protocols.push_back(args.value());
     } else if (arg == "--family") {
-      cfg.families.push_back(need_value("--family"));
+      cfg.families.push_back(args.value());
     } else if (arg == "--ladder") {
-      cfg.ladder = parse_ladder(need_value("--ladder"));
+      cfg.ladder = args.number_list();
     } else if (arg == "--d-ladder") {
-      cfg.d_ladder = parse_ladder(need_value("--d-ladder"));
+      cfg.d_ladder = args.number_list();
     } else if (arg == "--loss-ladder") {
-      cfg.loss_ladder = parse_ladder(need_value("--loss-ladder"));
+      cfg.loss_ladder = args.number_list();
     } else if (arg == "--nominal-n") {
-      cfg.nominal_n = std::strtoull(need_value("--nominal-n"), nullptr, 10);
+      cfg.nominal_n = args.number<std::uint64_t>();
     } else if (arg == "--loss-n") {
-      cfg.loss_n = std::strtoull(need_value("--loss-n"), nullptr, 10);
+      cfg.loss_n = args.number<std::uint64_t>();
     } else if (arg == "--trend") {
       trend = true;
-      trend_baseline = need_value("--trend");
-      trend_current = need_value("--trend");
+      trend_baseline = args.value();
+      trend_current = args.value();
     } else if (arg == "--trend-exp-tol") {
-      trend_cfg.exponent_tol =
-          std::strtod(need_value("--trend-exp-tol"), nullptr);
+      trend_cfg.exponent_tol = args.number<double>();
     } else if (arg == "--allow-missing") {
       trend_cfg.allow_missing = true;
     } else if (arg == "--metrics") {
       cfg.metrics = true;
     } else if (arg == "--validate-metrics") {
-      validate_metrics_path = need_value("--validate-metrics");
+      validate_metrics_path = args.value();
     } else if (arg == "--out") {
-      out_json = need_value("--out");
+      out_json = args.value();
     } else if (arg == "--md") {
-      out_md = need_value("--md");
+      out_md = args.value();
     } else if (arg == "--no-md") {
       write_md = false;
     } else if (arg == "--no-json") {
@@ -179,8 +126,6 @@ int main(int argc, char** argv) {
       check = false;
     } else if (arg == "--list-registry") {
       list_registry = true;
-    } else if (arg == "--markdown") {
-      markdown = true;
     } else {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
       return 2;
@@ -238,15 +183,8 @@ int main(int argc, char** argv) {
   }
 
   if (list_registry) {
-    if (markdown)
-      std::fputs(lab::registry_markdown(protos, fams).c_str(), stdout);
-    else
-      print_registry_plain(protos, fams);
+    std::fputs(lab::registry_markdown(protos, fams).c_str(), stdout);
     return 0;
-  }
-  if (markdown) {
-    std::fprintf(stderr, "--markdown only applies to --list-registry\n");
-    return 2;
   }
 
   std::printf("complexity lab: %s ladders, master seed %llu, "

@@ -17,21 +17,21 @@
 //   election_loadgen --json FILE                report path (BENCH_serve.json)
 //
 // Writes sustained jobs/sec and p50/p95/p99 submit->result latency to
-// BENCH_serve.json (a json/bench_doc.hpp bench document).  Exits nonzero on
-// any counter mismatch, job error, transport failure, or report write error.
+// BENCH_serve.json (a json/bench_doc.hpp bench document).  Exits 1 on any
+// counter mismatch, job error, transport failure, or report write error, and
+// 2 on a usage error (an unknown flag or a malformed number).
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "json/bench_doc.hpp"
 #include "net/rng.hpp"
 #include "scenario/fuzzer.hpp"
@@ -167,36 +167,28 @@ int main(int argc, char** argv) {
   bool check = true;
   std::string json_path = "BENCH_serve.json";
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto need_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  cli::ArgReader args(argc, argv);
+  while (args.next()) {
+    const std::string arg = args.flag();
     if (arg == "--quick") {
       sessions = 8;
       jobs_per_session = 125;
     } else if (arg == "--host") {
-      host = need_value("--host");
+      host = args.value();
     } else if (arg == "--port") {
-      port = static_cast<std::uint16_t>(
-          std::strtoul(need_value("--port"), nullptr, 10));
+      port = args.number<std::uint16_t>();
     } else if (arg == "--http-port") {
-      http_port = static_cast<std::uint16_t>(
-          std::strtoul(need_value("--http-port"), nullptr, 10));
+      http_port = args.number<std::uint16_t>();
     } else if (arg == "--sessions") {
-      sessions = std::strtoull(need_value("--sessions"), nullptr, 10);
+      sessions = args.number<std::size_t>();
     } else if (arg == "--jobs") {
-      jobs_per_session = std::strtoull(need_value("--jobs"), nullptr, 10);
+      jobs_per_session = args.number<std::size_t>();
     } else if (arg == "--seed") {
-      seed = std::strtoull(need_value("--seed"), nullptr, 10);
+      seed = args.number<std::uint64_t>();
     } else if (arg == "--no-check") {
       check = false;
     } else if (arg == "--json") {
-      json_path = need_value("--json");
+      json_path = args.value();
     } else {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
       return 2;

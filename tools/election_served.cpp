@@ -13,13 +13,13 @@
 // The daemon serves until SIGTERM/SIGINT, then DRAINS: accepted jobs finish
 // on the WorkerPool, results flush to their sessions, and only then does the
 // process exit 0.  SIGPIPE is ignored; a dead client costs one session,
-// never the daemon.  Frame grammar and endpoint schemas: docs/SERVER.md.
+// never the daemon.  An unknown flag or a malformed number exits 2 before
+// anything binds.  Frame grammar and endpoint schemas: docs/SERVER.md.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "cli_args.hpp"
 #include "serve/server.hpp"
 
 using namespace ule;
@@ -28,32 +28,23 @@ int main(int argc, char** argv) {
   serve::ServeConfig cfg;
   std::string port_file;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto need_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  cli::ArgReader args(argc, argv);
+  while (args.next()) {
+    const std::string arg = args.flag();
     if (arg == "--port") {
-      cfg.port = static_cast<std::uint16_t>(
-          std::strtoul(need_value("--port"), nullptr, 10));
+      cfg.port = args.number<std::uint16_t>();
     } else if (arg == "--http-port") {
-      cfg.http_port = static_cast<std::uint16_t>(
-          std::strtoul(need_value("--http-port"), nullptr, 10));
+      cfg.http_port = args.number<std::uint16_t>();
     } else if (arg == "--bind") {
-      cfg.bind = need_value("--bind");
+      cfg.bind = args.value();
     } else if (arg == "--workers") {
-      cfg.workers = static_cast<unsigned>(
-          std::strtoul(need_value("--workers"), nullptr, 10));
+      cfg.workers = args.number<unsigned>();
     } else if (arg == "--queue") {
-      cfg.queue_capacity = std::strtoull(need_value("--queue"), nullptr, 10);
+      cfg.queue_capacity = args.number<std::size_t>();
     } else if (arg == "--no-metrics") {
       cfg.metrics = false;
     } else if (arg == "--port-file") {
-      port_file = need_value("--port-file");
+      port_file = args.value();
     } else {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
       return 2;

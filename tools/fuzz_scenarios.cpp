@@ -18,20 +18,21 @@
 //                                       (reliable-transport protocols
 //                                       only, default .25)
 //   fuzz_scenarios --replay TOKEN      re-run one scenario from its token
-//   fuzz_scenarios --list              print registered protocols + families
+//   fuzz_scenarios --list              print the registry reference
+//                                       (the bytes of docs/REGISTRY.md)
 //   fuzz_scenarios --stats             print per-protocol envelope headroom
 //   fuzz_scenarios --no-shrink         report failures unshrunk
 //
 // Exit status: 0 when every scenario conforms, 1 on any violation, 2 on
-// usage / configuration errors.
+// usage / configuration errors (a malformed number included).
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
+#include "cli_args.hpp"
+#include "lab/report.hpp"
 #include "net/engine.hpp"
 #include "net/metrics.hpp"
 #include "scenario/fuzzer.hpp"
@@ -41,29 +42,6 @@
 using namespace ule;
 
 namespace {
-
-void print_list(const ProtocolRegistry& protos, const FamilyRegistry& fams) {
-  std::printf("protocols (%zu):\n", protos.all().size());
-  for (const ProtocolInfo& p : protos.all()) {
-    std::printf("  %-20s %-13s min-knowledge=%-4s safe-under=%-28s%s%s%s%s\n",
-                p.name.c_str(), to_string(p.contract),
-                to_string(p.min_knowledge),
-                faults::to_string(p.safe_under).c_str(),
-                p.reliable_transport ? " reliable-transport" : "",
-                p.wakeup_tolerant ? " wakeup-tolerant" : "",
-                p.needs_complete ? " complete-only" : "",
-                p.explicit_overlay ? " explicit-overlay" : "");
-  }
-  std::printf("families (%zu):\n", fams.all().size());
-  for (const FamilyInfo& f : fams.all()) {
-    std::printf("  %-12s", f.name.c_str());
-    for (const ParamSpec& ps : f.params)
-      std::printf(" %s∈[%llu,%llu]", ps.name.c_str(),
-                  static_cast<unsigned long long>(ps.lo),
-                  static_cast<unsigned long long>(ps.hi));
-    std::printf("%s\n", f.complete ? "  (complete)" : "");
-  }
-}
 
 int replay(const ProtocolRegistry& protos, const FamilyRegistry& fams,
            const std::string& token) {
@@ -125,15 +103,9 @@ int main(int argc, char** argv) {
   cfg.max_n = 96;
   bool stats = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto need_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  cli::ArgReader args(argc, argv);
+  while (args.next()) {
+    const std::string arg = args.flag();
     if (arg == "--quick") {
       cfg.count = 1000;
       cfg.max_n = 48;
@@ -141,44 +113,30 @@ int main(int argc, char** argv) {
       cfg.count = 200;
       cfg.max_n = 40;
     } else if (arg == "--count") {
-      cfg.count = std::strtoull(need_value("--count"), nullptr, 10);
+      cfg.count = args.number<std::size_t>();
     } else if (arg == "--max-n") {
-      cfg.max_n = std::strtoull(need_value("--max-n"), nullptr, 10);
+      cfg.max_n = args.number<std::size_t>();
     } else if (arg == "--seed") {
-      cfg.master_seed = std::strtoull(need_value("--seed"), nullptr, 10);
+      cfg.master_seed = args.number<std::uint64_t>();
     } else if (arg == "--time-budget") {
-      cfg.time_budget_sec = std::strtod(need_value("--time-budget"), nullptr);
+      cfg.time_budget_sec = args.number<double>();
     } else if (arg == "--adversary-fraction") {
-      cfg.adversary_fraction =
-          std::strtod(need_value("--adversary-fraction"), nullptr);
-      if (cfg.adversary_fraction < 0 || cfg.adversary_fraction > 1) {
-        std::fprintf(stderr, "--adversary-fraction must be in [0, 1]\n");
-        return 2;
-      }
+      cfg.adversary_fraction = args.fraction();
     } else if (arg == "--protocol-filter") {
-      cfg.protocol_filter = need_value("--protocol-filter");
+      cfg.protocol_filter = args.value();
     } else if (arg == "--threads-fraction") {
-      cfg.threads_fraction =
-          std::strtod(need_value("--threads-fraction"), nullptr);
-      if (cfg.threads_fraction < 0 || cfg.threads_fraction > 1) {
-        std::fprintf(stderr, "--threads-fraction must be in [0, 1]\n");
-        return 2;
-      }
+      cfg.threads_fraction = args.fraction();
     } else if (arg == "--churn-fraction") {
-      cfg.churn_fraction = std::strtod(need_value("--churn-fraction"), nullptr);
-      if (cfg.churn_fraction < 0 || cfg.churn_fraction > 1) {
-        std::fprintf(stderr, "--churn-fraction must be in [0, 1]\n");
-        return 2;
-      }
+      cfg.churn_fraction = args.fraction();
     } else if (arg == "--no-shrink") {
       cfg.shrink = false;
     } else if (arg == "--stats") {
       stats = true;
     } else if (arg == "--list") {
-      print_list(protos, fams);
+      std::fputs(lab::registry_markdown(protos, fams).c_str(), stdout);
       return 0;
     } else if (arg == "--replay") {
-      return replay(protos, fams, need_value("--replay"));
+      return replay(protos, fams, args.value());
     } else {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
       return 2;
