@@ -34,8 +34,7 @@ void ExplicitProcess::run_step(Context& ctx, std::span<const Envelope> inbox,
                                bool wake) {
   // Split the inbox: announcements are the wrapper's, the rest is the inner
   // algorithm's.
-  std::vector<Envelope> inner_inbox;
-  inner_inbox.reserve(inbox.size());
+  inner_inbox_.clear();
   PortId first_announce_port = kNoPort;
   std::uint64_t announce_token = 0;
   for (const auto& env : inbox) {
@@ -45,7 +44,7 @@ void ExplicitProcess::run_step(Context& ctx, std::span<const Envelope> inbox,
         announce_token = env.flat.a;
       }
     } else {
-      inner_inbox.push_back(env);
+      inner_inbox_.push_back(env);
     }
   }
   if (first_announce_port != kNoPort && !announced_) {
@@ -53,7 +52,7 @@ void ExplicitProcess::run_step(Context& ctx, std::span<const Envelope> inbox,
   }
 
   ElectionCtx ec(ctx, *this);
-  step_inner(ec, inner_inbox, wake);
+  step_inner(ec, inner_inbox_, wake);
 
   // The moment this node wins the inner election, announce its identity.
   if (inner_elected_ && !announced_) {

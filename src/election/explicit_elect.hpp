@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "election/channels.hpp"
 #include "election/election.hpp"
@@ -72,6 +73,9 @@ class ExplicitProcess final : public WrappedProcess {
   void announce(Context& ctx, std::uint64_t token, PortId skip);
 
   PortOutbox outbox_;
+  /// The inner's inbox for the current step (the arrivals that are not
+  /// announcements); cleared at the top of each step, its capacity kept.
+  std::vector<Envelope> inner_inbox_;
   std::optional<std::uint64_t> known_leader_;
   bool announced_ = false;        ///< we already forwarded/originated
   bool inner_elected_ = false;

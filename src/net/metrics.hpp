@@ -41,6 +41,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -117,7 +118,13 @@ class MetricsRegistry final : public MetricsSink {
   }
 
   void counter(std::string_view name, std::uint64_t value) override {
-    counters_[std::string(name)] += value;
+    // Look up by view: only a name's first call builds its string.
+    const auto it = counters_.find(name);
+    if (it != counters_.end()) {
+      it->second += value;
+    } else {
+      counters_.emplace(name, value);
+    }
   }
 
   MetricsSnapshot snapshot() const {
@@ -135,7 +142,7 @@ class MetricsRegistry final : public MetricsSink {
   GaugeStats wake_heap_;
   GaugeStats inbox_csr_;
   GaugeStats outbox_arena_;
-  std::map<std::string, std::uint64_t> counters_;
+  std::map<std::string, std::uint64_t, std::less<>> counters_;
 };
 
 /// Render a snapshot as the bench-compatible JSON document described in the

@@ -63,8 +63,10 @@ void ReliableProcess::ingest(Context& ctx, std::span<const Envelope> inbox) {
     // frames, so only an ack naming our current epoch counts.
     if (hdr.ack_epoch == ps.epoch && hdr.ack > ps.acked) {
       ps.acked = hdr.ack;
-      while (!ps.unacked.empty() && ps.unacked.front().seq <= hdr.ack)
-        ps.unacked.pop_front();
+      ps.unacked.erase(
+          ps.unacked.begin(),
+          std::find_if(ps.unacked.begin(), ps.unacked.end(),
+                       [&](const Unacked& u) { return u.seq > hdr.ack; }));
       ps.attempts = 0;
       arm_deadline(ps, now);
     }

@@ -67,7 +67,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -159,7 +158,9 @@ class ReliableProcess final : public WrappedProcess {
     /// first fresh send (round + 1, so a live stream's epoch is never 0),
     /// re-stamped on heal.  Strictly monotone across the port's lives.
     std::uint32_t epoch = 0;
-    std::deque<Unacked> unacked; ///< in seq order; front is the oldest
+    /// In seq order; front is the oldest.  A vector, not a deque: an empty
+    /// std::deque allocates, and most ports of most runs never send.
+    std::vector<Unacked> unacked;
     std::uint32_t attempts = 0;  ///< retransmissions since last ack progress
     Round rto_deadline = kRoundForever;
     bool dead = false;           ///< gave up; healed by the next fresh send

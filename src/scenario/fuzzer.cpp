@@ -320,7 +320,9 @@ FuzzReport run_fuzz(const ProtocolRegistry& protocols,
   };
 
   for (std::size_t i = 0; i < cfg.count; ++i) {
-    if (cfg.time_budget_sec > 0) {
+    // The budget is checked between draws, never before the first: a run
+    // always checks at least one scenario.
+    if (cfg.time_budget_sec > 0 && i > 0) {
       const std::chrono::duration<double> elapsed =
           std::chrono::steady_clock::now() - started;
       if (elapsed.count() > cfg.time_budget_sec) {

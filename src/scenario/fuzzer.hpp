@@ -54,8 +54,9 @@ struct FuzzConfig {
   /// crash-stop (late recovery can legitimately break a plain protocol's
   /// safety, which would be a false conformance finding).  In [0, 1].
   double churn_fraction = 0.25;
-  /// Stop drawing after this many seconds (0 = no budget).  Used by the
-  /// nightly time-boxed job; the count still caps the total.
+  /// Stop drawing after this many seconds (0 = no budget).  Checked between
+  /// draws, so the first draw always runs.  Used by the nightly time-boxed
+  /// job; the count still caps the total.
   double time_budget_sec = 0;
   /// Only draw protocols whose name contains this substring ("" = all).
   /// Lets CI aim a dedicated slice at e.g. the `*_reliable` fleet.

@@ -289,5 +289,17 @@ TEST(Fuzzer, TimeBudgetStopsTheLoop) {
   EXPECT_GT(rep.scenarios_run, 0u);
 }
 
+TEST(Fuzzer, TimeBudgetNeverStopsBeforeTheFirstDraw) {
+  FuzzConfig cfg;
+  cfg.master_seed = 13;
+  cfg.count = 3;
+  cfg.max_n = 24;
+  cfg.time_budget_sec = 1e-9;  // spent before any draw could finish
+  const FuzzReport rep =
+      run_fuzz(default_protocols(), default_families(), cfg);
+  EXPECT_EQ(rep.scenarios_run, 1u);
+  EXPECT_TRUE(rep.time_budget_hit);
+}
+
 }  // namespace
 }  // namespace ule

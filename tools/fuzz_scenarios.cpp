@@ -4,7 +4,8 @@
 //   fuzz_scenarios --quick              1000 scenarios, small graphs (CI gate)
 //   fuzz_scenarios --smoke              200 scenarios (PR-workflow smoke)
 //   fuzz_scenarios --count N --max-n M  custom sweep
-//   fuzz_scenarios --time-budget SEC    stop drawing after SEC seconds
+//   fuzz_scenarios --time-budget SEC    stop drawing after SEC seconds (the
+//                                       first draw always runs)
 //   fuzz_scenarios --seed S             change the master seed
 //   fuzz_scenarios --adversary-fraction F
 //                                       fraction of draws carrying a
@@ -24,7 +25,8 @@
 //   fuzz_scenarios --no-shrink         report failures unshrunk
 //
 // Exit status: 0 when every scenario conforms, 1 on any violation, 2 on
-// usage / configuration errors (a malformed number included).
+// usage / configuration errors (a malformed number included) and on a run
+// that checked no scenario (`--count 0`).
 
 #include <cstdint>
 #include <cstdio>
@@ -174,6 +176,11 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (rep.scenarios_run == 0) {
+    // Conformance of nothing is no result: `--count 0` checked no draw.
+    std::fprintf(stderr, "no scenario ran, so nothing was checked\n");
+    return 2;
+  }
   if (rep.ok()) {
     std::printf("\nall scenarios conform\n");
     return 0;
