@@ -75,7 +75,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -93,6 +92,7 @@
 #include "net/engine.hpp"
 #include "net/reliable.hpp"
 #include "net/wakeup.hpp"
+#include "cli_args.hpp"
 
 namespace ule {
 namespace {
@@ -279,29 +279,35 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   };
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    else if (std::strcmp(argv[i], "--max-n") == 0 && i + 1 < argc)
-      max_n = static_cast<std::size_t>(std::atoll(argv[++i]));
-    else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      const int t = std::atoi(argv[++i]);
-      if (t < 1 || t > 1024) return usage();
-      threads = static_cast<unsigned>(t);
-    } else if (std::strcmp(argv[i], "--parallel-cutoff") == 0 && i + 1 < argc) {
-      const long long k = std::atoll(argv[++i]);
-      if (k < 1) return usage();
-      parallel_cutoff = static_cast<std::size_t>(k);
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
-      out = argv[++i];
-    else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc)
-      metrics_out = argv[++i];
-    else if (std::strcmp(argv[i], "--only") == 0 && i + 1 < argc)
-      only = argv[++i];
-    else
+  cli::ArgReader args(argc, argv);
+  while (args.next()) {
+    const std::string arg = args.flag();
+    if (arg == "--quick") {
+      quick = true;
+    } else if (arg == "--max-n") {
+      max_n = args.number<std::size_t>();
+    } else if (arg == "--threads") {
+      threads = args.number<unsigned>();
+      if (threads < 1 || threads > 1024) return usage();
+    } else if (arg == "--parallel-cutoff") {
+      parallel_cutoff = args.number<std::size_t>();
+      if (parallel_cutoff < 1) return usage();
+    } else if (arg == "--out") {
+      out = args.value();
+    } else if (arg == "--metrics-out") {
+      metrics_out = args.value();
+    } else if (arg == "--only") {
+      only = args.value();
+    } else {
       return usage();
+    }
   }
-  const auto enabled = [&only](const char* workload) {
-    return only.empty() || std::string(workload).find(only) != std::string::npos;
+  bool matched = false;  // some workload passed the --only filter
+  const auto enabled = [&only, &matched](const char* workload) {
+    const bool on =
+        only.empty() || std::string(workload).find(only) != std::string::npos;
+    matched = matched || on;
+    return on;
   };
 
   std::printf("\n=== Engine hot path: wall-clock throughput ===\n"
@@ -530,6 +536,13 @@ int main(int argc, char** argv) {
       std::printf("%-18s %-9s n=%-8zu %10.1f ns/round\n",
                   "quiescent_perround", "ring", n, per_round_ns);
     }
+
+  // Every workload has asked enabled() by now.  A filter that named none
+  // measured nothing, and an empty document must not pass.
+  if (!matched) {
+    std::fprintf(stderr, "--only %s matches no workload\n", only.c_str());
+    return 2;
+  }
 
   // --- --metrics-out: one standalone engine_metrics snapshot ---
   // A fixed adversarial reliable flood-max run exercising every counter

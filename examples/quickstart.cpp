@@ -15,22 +15,23 @@
 #include "graphgen/generators.hpp"
 #include "graphgen/graph_algos.hpp"
 #include "net/engine.hpp"
+#include "net/recorder.hpp"
 
 namespace {
 
-// The engine can narrate a run (EngineConfig::trace_limit): wakes, every
-// message with its payload, and status changes, grouped by round.
+// A recorded run can be narrated (net/recorder.hpp): wakes, every message
+// with its payload, and status changes, grouped by round.
 int traced_demo() {
   using namespace ule;
   const ule::Graph g = make_cycle(5);
   EngineConfig cfg;
   cfg.seed = 7;
-  cfg.trace_limit = 10'000;
   SyncEngine eng(g, cfg);
   Rng id_rng(3);
   eng.set_uids(assign_ids(g.n(), IdScheme::RandomPermutation, id_rng));
   eng.set_knowledge(Knowledge::of_n(g.n()));
-  eng.init_processes(make_least_el(LeastElConfig::all_candidates()));
+  eng.init_processes(
+      recording(make_least_el(LeastElConfig::all_candidates())));
   eng.run();
   std::printf("least-element election on cycle(5), narrated:\n%s",
               format_trace(eng).c_str());

@@ -1,9 +1,9 @@
 #include "bounds/bridge_crossing.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "graphgen/graph_algos.hpp"
+#include "net/recorder.hpp"
 #include "net/rng.hpp"
 
 namespace ule {
@@ -11,16 +11,17 @@ namespace ule {
 FirstCrossing first_crossing(const SyncEngine& eng,
                              std::span<const EdgeId> edges) {
   FirstCrossing cross;
-  for (const TraceEvent& ev : eng.trace()) {
-    if (ev.kind != TraceEvent::Kind::Send) continue;
+  for_each_event(eng, [&](const TraceEvent& ev) {
+    if (ev.kind != TraceEvent::Kind::Send) return true;
     const EdgeId e = eng.graph().half_edge(ev.node, ev.port).edge;
     if (std::find(edges.begin(), edges.end(), e) != edges.end()) {
       cross.round = ev.round;
-      return cross;
+      return false;
     }
     ++cross.messages_before;
-  }
-  return FirstCrossing{};
+    return true;
+  });
+  return cross.round != kRoundForever ? cross : FirstCrossing{};
 }
 
 BridgeCrossingSummary run_bridge_crossing(std::size_t n, std::size_t m,
@@ -42,14 +43,12 @@ BridgeCrossingSummary run_bridge_crossing(std::size_t n, std::size_t m,
     RunOptions opt;
     opt.seed = seed + 1000 * s + 7;
     opt.knowledge = Knowledge::all(d.graph.n(), d.graph.m(), d.diameter);
-    opt.trace_limit = std::numeric_limits<std::size_t>::max();
 
     const EdgeId bridges[] = {d.bridge1, d.bridge2};
     FirstCrossing cross;
-    const ElectionReport rep =
-        run_election(d.graph, factory, opt, [&](const SyncEngine& eng) {
-          cross = first_crossing(eng, bridges);
-        });
+    const ElectionReport rep = run_election(
+        d.graph, recording(factory), opt,
+        [&](const SyncEngine& eng) { cross = first_crossing(eng, bridges); });
 
     BridgeCrossingRun run;
     run.open_left = left;

@@ -2,9 +2,9 @@
 // made operational.
 //
 // An algorithm achieves BC on a dumbbell graph when a message crosses one of
-// the two bridge edges.  Each run is traced (EngineConfig::trace_limit), and
+// the two bridge edges.  Each run is recorded (net/recorder.hpp), and
 // first_crossing reads the first crossing round and the number of messages
-// sent strictly before it off the trace's global send order; averaging those
+// sent strictly before it off the recorded execution order; averaging those
 // counts over a class C(G', G'') — i.e. over choices of the opened clique
 // edges e', e'' — is exactly the quantity Lemma 3.5 lower-bounds by Ω(m).
 //
@@ -44,14 +44,14 @@ struct BridgeCrossingSummary {
   std::size_t kappa = 0;
 };
 
-/// The first traversal of any edge in `edges` in a traced run.
+/// The first traversal of any edge in `edges` in a recorded run.
 struct FirstCrossing {
   Round round = kRoundForever;        ///< round of the first traversal
   std::uint64_t messages_before = 0;  ///< sends strictly before it
 };
 
-/// Scan `eng`'s trace for the first Send over one of `edges`.  The run must
-/// have been traced with a trace_limit no send count reaches.
+/// Visit `eng`'s events up to the first Send over one of `edges`.  The run's
+/// processes must have been built with recording() (net/recorder.hpp).
 FirstCrossing first_crossing(const SyncEngine& eng,
                              std::span<const EdgeId> edges);
 

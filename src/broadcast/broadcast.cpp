@@ -1,11 +1,12 @@
 #include "broadcast/broadcast.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
 #include <vector>
 
 #include "net/engine.hpp"
+#include "net/recorder.hpp"
+#include "net/wrapped_process.hpp"
 
 namespace ule {
 
@@ -41,10 +42,11 @@ ProcessFactory make_flood_broadcast(NodeId source) {
 
 std::uint64_t sends_before(const SyncEngine& eng, Round r) {
   std::uint64_t sends = 0;
-  for (const TraceEvent& ev : eng.trace()) {
-    if (ev.round >= r) break;  // the trace is in round order
+  for_each_event(eng, [&](const TraceEvent& ev) {
+    if (ev.round >= r) return false;  // events come in round order
     sends += ev.kind == TraceEvent::Kind::Send;
-  }
+    return true;
+  });
   return sends;
 }
 
@@ -52,9 +54,8 @@ BroadcastReport run_broadcast(const Graph& g, NodeId source,
                               std::uint64_t seed) {
   EngineConfig cfg;
   cfg.seed = seed;
-  cfg.trace_limit = std::numeric_limits<std::size_t>::max();
   SyncEngine eng(g, cfg);
-  eng.init_processes(make_flood_broadcast(source));
+  eng.init_processes(recording(make_flood_broadcast(source)));
   const RunResult res = eng.run();
 
   BroadcastReport rep;
@@ -66,7 +67,7 @@ BroadcastReport run_broadcast(const Graph& g, NodeId source,
   informed.reserve(g.n());
   bool all = true;
   for (NodeId s = 0; s < g.n(); ++s) {
-    const auto* p = dynamic_cast<const FloodBroadcastProcess*>(eng.process(s));
+    const auto* p = unwrap<FloodBroadcastProcess>(eng.process(s));
     if (p->informed()) {
       informed.push_back(p->informed_round());
     } else {

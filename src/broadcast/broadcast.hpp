@@ -10,7 +10,7 @@
 // forwards the payload once on every other port and echoes; the source
 // detects completion.  The per-node informed round is exposed so the harness
 // can measure "messages until a majority is informed" by counting the sends
-// of earlier rounds in the engine's trace.
+// of earlier rounds in the recorded run (net/recorder.hpp).
 
 #pragma once
 
@@ -54,9 +54,8 @@ struct BroadcastReport {
   bool all_informed = false;
 };
 
-/// The messages sent in rounds < r: the Send events of `eng`'s trace with
-/// round < r.  The run must have been traced with a trace_limit no send
-/// count reaches.
+/// The messages sent in rounds < r: the Send events with round < r of a run
+/// whose processes were built with recording() (net/recorder.hpp).
 std::uint64_t sends_before(const SyncEngine& eng, Round r);
 
 /// Run a broadcast from `source` on g and measure total + majority costs.

@@ -34,8 +34,6 @@ struct ElectionVerdict {
 /// Judge a finished engine run.
 ElectionVerdict judge_election(const SyncEngine& eng);
 
-using ProcessFactory = std::function<std::unique_ptr<Process>(NodeId)>;
-
 /// One election run's configuration: the engine's own (seed, max_rounds,
 /// congest, threads, adversary, metrics, ...) plus what the engine does not
 /// own.  Unlike a bare EngineConfig, CONGEST defaults to Count.

@@ -12,7 +12,7 @@
 //
 // Bridge-crossing (BC): any universal leader-election or broadcast algorithm
 // must move a message across a bridge; first_crossing
-// (bounds/bridge_crossing.hpp) finds exactly that event in a run's trace.
+// (bounds/bridge_crossing.hpp) finds exactly that event in a recorded run.
 
 #pragma once
 

@@ -45,14 +45,6 @@ class SyncEngine::Ctx final : public Context {
     if (st != s) {
       st = s;
       lane_->status_changed = true;
-      if (eng_.tracing_) {
-        TraceEvent ev;
-        ev.kind = TraceEvent::Kind::StatusChange;
-        ev.round = eng_.round_;
-        ev.node = slot_;
-        ev.status = s;
-        eng_.record(std::move(ev));
-      }
     }
   }
   Status status() const override { return eng_.nodes_[slot_].status; }
@@ -85,10 +77,7 @@ SyncEngine::SyncEngine(const Graph& g, EngineConfig cfg)
       threads_(cfg_.threads != 0
                    ? cfg_.threads
                    : std::max(1u, std::thread::hardware_concurrency())),
-      // The trace records the global execution order; traced runs stay
-      // sequential regardless of the thread setting.
-      parallel_ok_(threads_ > 1 && cfg_.trace_limit == 0),
-      store_(parallel_ok_ ? threads_ : 1) {
+      store_(threads_) {
   const std::size_t n = graph_.n();
   nodes_.resize(n);
   procs_.resize(n);
@@ -106,7 +95,6 @@ SyncEngine::SyncEngine(const Graph& g, EngineConfig cfg)
   }
 
   congest_on_ = cfg_.congest != CongestMode::Off;
-  tracing_ = cfg_.trace_limit > 0;
   metrics_on_ = cfg_.metrics.enabled;
 
   const AdversaryConfig& adv = cfg_.adversary;
@@ -239,17 +227,6 @@ const Graph::HalfEdge& SyncEngine::account_send(SendLane& lane, NodeId from,
 
   const Graph::HalfEdge& he = graph_.half_edge(from, port);
 
-  if (tracing_) [[unlikely]] {
-    TraceEvent ev;
-    ev.kind = TraceEvent::Kind::Send;
-    ev.round = round_;
-    ev.node = from;
-    ev.port = port;
-    ev.peer = he.to;
-    ev.msg = msg;
-    record(std::move(ev));
-  }
-
   ++lane.messages;
   lane.bits += msg.bits;
   ++sent_by_node_[from];
@@ -350,7 +327,7 @@ void SyncEngine::deliver_round() {
   // Stable counting-bucket by destination: count, prefix, scatter.  Taking
   // the envelopes in source order makes each node's inbox order identical to
   // a sequential execution.
-  const bool parallel = parallel_ok_ && total >= 16 * cfg_.parallel_cutoff;
+  const bool parallel = threads_ > 1 && total >= 16 * cfg_.parallel_cutoff;
   if (parallel) {
     if (bucket_hist_.empty()) {
       bucket_stride_ = (graph_.n() + 15) / 16 * 16;  // rows start on a line
@@ -550,13 +527,6 @@ inline void SyncEngine::step_node(Ctx& ctx, NodeId s) {
   }
   if (n.state == RunState::Unwoken) {
     n.state = RunState::Running;
-    if (tracing_) {
-      TraceEvent ev;
-      ev.kind = TraceEvent::Kind::Wake;
-      ev.round = round_;
-      ev.node = s;
-      record(std::move(ev));
-    }
     procs_[s]->on_wake(ctx, in);
   } else {
     n.state = RunState::Running;  // woken sleepers resume running
@@ -701,7 +671,7 @@ RunResult SyncEngine::run() {
     ++result_.executed_rounds;
     result_.node_steps += runnable.size();
     const std::uint64_t messages_before_round = result_.messages;
-    if (!parallel_ok_ || runnable.size() < cfg_.parallel_cutoff) [[likely]] {
+    if (threads_ == 1 || runnable.size() < cfg_.parallel_cutoff) [[likely]] {
       // Sequential fast path: execute in slot order into lane 0 and fold its
       // counter block inline (the quiescent per-round cost lives here).
       SendLane& lane = store_.lanes[0];
@@ -872,42 +842,6 @@ std::string describe_nontermination(const RunResult& r) {
       out += ")";
     }
   }
-  return out;
-}
-
-std::string format_trace(const SyncEngine& eng, std::size_t max_lines) {
-  std::string out;
-  Round current = kRoundForever;
-  std::size_t lines = 0;
-  for (const TraceEvent& ev : eng.trace()) {
-    if (lines >= max_lines) {
-      out += "... (truncated at " + std::to_string(max_lines) + " lines)\n";
-      return out;
-    }
-    if (ev.round != current) {
-      current = ev.round;
-      out += "--- round " + std::to_string(current) + " ---\n";
-    }
-    switch (ev.kind) {
-      case TraceEvent::Kind::Wake:
-        out += "  n" + std::to_string(ev.node) + " wakes\n";
-        break;
-      case TraceEvent::Kind::Send:
-        out += "  n" + std::to_string(ev.node) + " -> n" +
-               std::to_string(ev.peer) + " (port " + std::to_string(ev.port) +
-               "): " + flat_debug_string(ev.msg) + "\n";
-        break;
-      case TraceEvent::Kind::StatusChange:
-        out += "  n" + std::to_string(ev.node) + " status := " +
-               (ev.status == Status::Elected
-                    ? "elected"
-                    : ev.status == Status::NonElected ? "non-elected" : "?") +
-               "\n";
-        break;
-    }
-    ++lines;
-  }
-  if (eng.trace_truncated()) out += "... (event buffer full)\n";
   return out;
 }
 

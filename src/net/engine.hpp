@@ -69,8 +69,7 @@
 // precedes chunk w+1 in send order, so every inbox comes out in send order
 // at any thread count.  Rounds below EngineConfig::parallel_cutoff
 // runnable nodes stay on the sequential fast path (pool dispatch costs a few
-// microseconds; a quiescent ring round costs ~16 ns), as do traced runs
-// (the trace records the global execution order).
+// microseconds; a quiescent ring round costs ~16 ns).
 //
 // ADVERSARY (EngineConfig::adversary, net/adversary.hpp): a seeded oblivious
 // adversary can delay (bounded), drop, duplicate and reorder messages and
@@ -87,12 +86,9 @@
 // count.  With the adversary off (the default) the engine runs the exact
 // fault-free hot path — no adversary state is allocated or touched.
 //
-// Instrumentation: total messages and bits, per-node send counts, and the
-// trace (EngineConfig::trace_limit) — every wake, send (with its payload)
-// and status change in execution order.  Measures that depend on the global
-// send order read it off the trace: the bridge-crossing (BC) cost of the
-// Theorem 3.1 proof (bounds/bridge_crossing.hpp) and the majority-broadcast
-// cost of Corollary 3.12 (broadcast/broadcast.hpp).
+// Instrumentation: total messages and bits and per-node send counts.  The
+// engine only runs rounds; narrating a run (wakes, sends with their
+// payloads, status changes) is a process wrapper, net/recorder.hpp.
 
 #pragma once
 
@@ -139,12 +135,6 @@ struct EngineConfig {
   /// bits; our wire format sizes them at 64 bits uniformly).
   std::uint32_t congest_bits = 0;
   bool fast_forward = true;
-  /// Record up to this many TraceEvents (0 = tracing off).  Wakes, sends
-  /// (with their payloads) and status changes, in execution order — the
-  /// round-by-round story of a run, and the global send order that the
-  /// bridge-crossing and majority-broadcast measures count in.  A traced run
-  /// executes sequentially at any thread count.
-  std::size_t trace_limit = 0;
   /// Worker threads for round execution and CSR bucketing.  1 = fully
   /// sequential (the exact legacy code path); 0 = hardware concurrency.
   /// Completed runs are bit-for-bit identical at every thread count.  On
@@ -300,18 +290,6 @@ std::vector<CounterDiff> diff_counters(const RunResult& base,
 /// undecided nodes (empty if it completed fully decided).
 std::string describe_nontermination(const RunResult& r);
 
-/// One recorded engine event (requires cfg.trace_limit > 0).
-struct TraceEvent {
-  enum class Kind : std::uint8_t { Wake, Send, StatusChange };
-  Kind kind = Kind::Send;
-  Round round = 0;
-  NodeId node = kNoNode;
-  PortId port = kNoPort;   ///< Send only: the sending port
-  NodeId peer = kNoNode;   ///< Send only: the receiving node
-  Status status = Status::Undecided;  ///< StatusChange only
-  FlatMsg msg;             ///< Send only: the payload
-};
-
 // --- the parallel-merge seam (free functions so the fold order, counter
 // summation and exception selection are unit-testable with hand-crafted
 // lanes; the engine calls them on both the sequential one-lane path and
@@ -369,11 +347,6 @@ inline std::exception_ptr merge_lane_counters(std::span<SendLane> lanes,
   return first_error;
 }
 
-class SyncEngine;
-
-/// Render a recorded trace round-by-round (up to max_lines lines).
-std::string format_trace(const SyncEngine& eng, std::size_t max_lines = 200);
-
 class SyncEngine {
  public:
   SyncEngine(const Graph& g, EngineConfig cfg = {});
@@ -407,9 +380,6 @@ class SyncEngine {
   bool anonymous() const { return uids_.empty(); }
   const RunResult& result() const { return result_; }
   const std::vector<std::uint64_t>& sent_by_node() const { return sent_by_node_; }
-  /// Requires cfg.trace_limit > 0.  Truncated at trace_limit events.
-  const std::vector<TraceEvent>& trace() const { return trace_; }
-  bool trace_truncated() const { return trace_truncated_; }
 
  private:
   enum class RunState : std::uint8_t { Unwoken, Running, Sleeping, Halted };
@@ -435,8 +405,7 @@ class SyncEngine {
 
   void do_send(SendLane& lane, NodeId from, PortId port, const FlatMsg& msg,
                const LinkHeader& link);
-  /// Send bookkeeping (congest, counters, trace); returns the traversed
-  /// half-edge.
+  /// Send bookkeeping (congest, counters); returns the traversed half-edge.
   const Graph::HalfEdge& account_send(SendLane& lane, NodeId from, PortId port,
                                       const FlatMsg& msg);
   std::uint32_t congest_budget() const;
@@ -548,8 +517,7 @@ class SyncEngine {
     static RoundBuffers& thread_cache();
   };
   unsigned threads_ = 1;        // resolved worker count (cfg.threads, 0=hw)
-  bool parallel_ok_ = false;    // threads_>1 and not tracing
-  RecycledBuffers store_;       // parallel_ok_ ? threads_ : 1 lanes
+  RecycledBuffers store_;       // threads_ lanes
   std::unique_ptr<WorkerPool> pool_;            // spawned on first dense round
   // deliver_round's bucket sources, in inbox order (due ring slot, lanes).
   std::vector<const SendBatch*> sources_;
@@ -578,7 +546,6 @@ class SyncEngine {
 
   // Hot-path branch hints, precomputed once (satellite: keep do_send lean).
   bool congest_on_ = false;
-  bool tracing_ = false;
 
   // Adversary state (net/adversary.hpp).  Every flag below is false — and
   // every container empty — when cfg.adversary is inactive, so the fault-free
@@ -611,14 +578,6 @@ class SyncEngine {
   /// Rebirth factory, retained by init_processes iff has_recoveries_.
   std::function<std::unique_ptr<Process>(NodeId)> factory_;
 
-  void record(TraceEvent ev) {
-    if (trace_.size() < cfg_.trace_limit) {
-      trace_.push_back(std::move(ev));
-    } else {
-      trace_truncated_ = true;
-    }
-  }
-
   /// Telemetry (net/metrics.hpp).  metrics_on_ mirrors cfg.metrics.enabled;
   /// off (the default) skips every sampling branch, so the registry stays
   /// untouched on the hot path.
@@ -626,8 +585,6 @@ class SyncEngine {
   MetricsRegistry metrics_;
 
   RunResult result_;
-  std::vector<TraceEvent> trace_;
-  bool trace_truncated_ = false;
   std::vector<std::uint64_t> sent_by_node_;
   std::vector<Round> last_send_round_;         // per directed port
   std::vector<std::size_t> dir_port_offset_;   // node -> base directed index

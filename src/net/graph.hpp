@@ -5,9 +5,9 @@
 // the neighbour at the other endpoint.  Algorithms therefore only ever see
 // port indices; the Graph owns the port->neighbour mapping and the engine
 // routes messages through it.  Edges carry dense global ids (used only by
-// instrumentation, e.g. finding bridge crossings in a trace, never exposed
-// to processes except where an algorithm legitimately learns an edge's
-// identity by communication, as in Algorithm 1's inter-cluster graph).
+// instrumentation, e.g. finding bridge crossings in a recorded run, never
+// exposed to processes except where an algorithm legitimately learns an
+// edge's identity by communication, as in Algorithm 1's inter-cluster graph).
 //
 // Storage is CSR: `offset_` holds n + 1 prefix sums of the degrees and node
 // u's ports are half_[offset_[u] .. offset_[u + 1]), one HalfEdge array of 2m

@@ -74,7 +74,7 @@ inline constexpr std::uint32_t kCounter = 32;   ///< hop counters, phase nums
 inline constexpr std::uint32_t kFlag = 1;       ///< booleans
 }  // namespace wire
 
-/// Generic render of a message for traces.
+/// Generic render of a message for narrated runs (net/recorder.hpp).
 std::string flat_debug_string(const FlatMsg& m);
 
 }  // namespace ule

@@ -31,6 +31,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <span>
 
 #include "net/knowledge.hpp"
@@ -100,5 +102,8 @@ class Process {
   /// process so nested subsystems stay observable.  Default: no counters.
   virtual void export_metrics(MetricsSink& sink) const { (void)sink; }
 };
+
+/// Builds the process for a slot; wrappers take one and return another.
+using ProcessFactory = std::function<std::unique_ptr<Process>(NodeId)>;
 
 }  // namespace ule

@@ -258,9 +258,7 @@ void ReliableProcess::export_metrics(MetricsSink& sink) const {
   WrappedProcess::export_metrics(sink);
 }
 
-std::function<std::unique_ptr<Process>(NodeId)> make_reliable(
-    std::function<std::unique_ptr<Process>(NodeId)> inner,
-    ReliableConfig cfg) {
+ProcessFactory make_reliable(ProcessFactory inner, ReliableConfig cfg) {
   return [inner = std::move(inner),
           cfg](NodeId slot) -> std::unique_ptr<Process> {
     return std::make_unique<ReliableProcess>(inner(slot), cfg);

@@ -67,7 +67,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -207,11 +206,7 @@ class ReliableProcess final : public WrappedProcess {
 
 /// Wrap a process factory with the reliable link layer.  `cfg.rto == 0`
 /// resolves to kReliableDefaultRto; pass an explicit value (e.g.
-/// 4 + 2*max_delay) when the adversary's delay bound is known.  (The
-/// spelled-out std::function type is election's ProcessFactory — net/ cannot
-/// include election/ headers.)
-std::function<std::unique_ptr<Process>(NodeId)> make_reliable(
-    std::function<std::unique_ptr<Process>(NodeId)> inner,
-    ReliableConfig cfg = {});
+/// 4 + 2*max_delay) when the adversary's delay bound is known.
+ProcessFactory make_reliable(ProcessFactory inner, ReliableConfig cfg = {});
 
 }  // namespace ule

@@ -1,11 +1,11 @@
 // The inner-process driver every wrapper process shares (ReliableProcess in
-// net/reliable.hpp, ExplicitProcess in election/explicit_elect.hpp).  It
-// owns the inner process, records the inner's scheduling verbs instead of
-// letting them reach the engine, and steps the inner exactly when the engine
-// itself would have: on wake, while running, when messages arrive, or when
-// its sleep deadline fires, and never after a halt.  A wrapper woken for its
-// own reasons (a retransmit deadline, an announcement) must not hand a
-// sleeping inner a spurious early round.
+// net/reliable.hpp, ExplicitProcess in election/explicit_elect.hpp, the run
+// recorder in net/recorder.cpp).  It owns the inner process, records the
+// inner's scheduling verbs instead of letting them reach the engine, and
+// steps the inner exactly when the engine itself would have: on wake, while
+// running, when messages arrive, or when its sleep deadline fires, and never
+// after a halt.  A wrapper woken for its own reasons (a retransmit deadline,
+// an announcement) must not hand a sleeping inner a spurious early round.
 //
 // Each wrapper keeps only what differs: the one Context call it intercepts
 // (an InnerCtx subclass) and how it turns the inner's wish into its own

@@ -9,6 +9,7 @@
 #include "election/flood_max.hpp"
 #include "election/kingdom.hpp"
 #include "election/least_el.hpp"
+#include "net/recorder.hpp"
 
 namespace ule {
 namespace {
@@ -38,10 +39,9 @@ TEST(BridgeCrossing, FirstCrossingReadsTheTrace) {
       ctx.idle();
     }
   };
-  EngineConfig cfg;
-  cfg.trace_limit = 100;
-  SyncEngine eng(g, cfg);
-  eng.init_processes([](NodeId) { return std::make_unique<Relay>(); });
+  SyncEngine eng(g);
+  eng.init_processes(
+      recording([](NodeId) { return std::make_unique<Relay>(); }));
   eng.run();
   const EdgeId watched[] = {1};  // edge (1,2)
   const FirstCrossing cross = first_crossing(eng, watched);

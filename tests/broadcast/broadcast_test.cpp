@@ -7,6 +7,7 @@
 #include "graphgen/dumbbell.hpp"
 #include "graphgen/generators.hpp"
 #include "graphgen/graph_algos.hpp"
+#include "net/recorder.hpp"
 
 namespace ule {
 namespace {
@@ -30,10 +31,9 @@ TEST(Broadcast, SendsBeforeReadsTheTrace) {
       else ctx.idle();
     }
   };
-  EngineConfig cfg;
-  cfg.trace_limit = 100;
-  SyncEngine eng(g, cfg);
-  eng.init_processes([](NodeId) { return std::make_unique<Chatter>(); });
+  SyncEngine eng(g);
+  eng.init_processes(
+      recording([](NodeId) { return std::make_unique<Chatter>(); }));
   eng.run();
   // Rounds 0,1,2 send 2 messages each.
   EXPECT_EQ(sends_before(eng, 1), 2u);

@@ -124,6 +124,28 @@ TEST(TrendTest, DoctoredCounterStatisticFails) {
   ASSERT_FALSE(rep2.ok());
 }
 
+TEST(TrendTest, OneUnitCounterDriftFails) {
+  // Counter statistics compare exactly: a relative tolerance would forgive
+  // a one-message drift on any cell that sends 100 or more.
+  const std::string doc = gate_document();
+  const std::string needle = "\"messages_median\": ";
+  std::size_t at = doc.find(needle);
+  double v = 0;
+  while (at != std::string::npos) {
+    v = std::stod(doc.substr(at + needle.size()));
+    if (v >= 100) break;
+    at = doc.find(needle, at + 1);
+  }
+  ASSERT_NE(at, std::string::npos) << "no cell sends 100 messages";
+  const std::string drifted =
+      doc.substr(0, at) +
+      doctor(doc.substr(at), "messages_median", std::to_string(v + 1));
+  const TrendReport rep = compare_lab_trend(doc, drifted);
+  ASSERT_EQ(rep.errors.size(), 1u);
+  EXPECT_NE(rep.errors[0].find("messages_median drifted"), std::string::npos)
+      << rep.errors[0];
+}
+
 TEST(TrendTest, MissingCoverageFailsUnlessAllowed) {
   // Current run covers fewer curves than the baseline (a protocol filter, a
   // deleted band): that is a coverage regression, not silence.

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "net/engine.hpp"
+#include "net/recorder.hpp"
 #include "net/reliable.hpp"
 
 namespace ule {
@@ -69,22 +70,22 @@ struct CourierRun {
 };
 
 /// path2 with node 0 sending `k` frames through the wrapper and node 1 just
-/// listening.  Returns the run after the engine quiesced.
+/// listening, narrated (net/recorder.hpp) so a test can read the frames on
+/// the wire.  Returns the run after the engine quiesced.
 CourierRun run_courier(const EngineConfig& cfg, int k, ReliableConfig rcfg) {
   CourierRun run;
   run.eng = std::make_unique<SyncEngine>(run.g, cfg);
-  run.eng->init_processes([k, rcfg](NodeId slot) -> std::unique_ptr<Process> {
-    return std::make_unique<ReliableProcess>(
-        std::make_unique<Courier>(slot == 0 ? k : 0), rcfg);
-  });
+  run.eng->init_processes(
+      recording([k, rcfg](NodeId slot) -> std::unique_ptr<Process> {
+        return std::make_unique<ReliableProcess>(
+            std::make_unique<Courier>(slot == 0 ? k : 0), rcfg);
+      }));
   run.eng->run();
   return run;
 }
 
 const Courier* inner_courier(const SyncEngine& eng, NodeId slot) {
-  const auto* rel = dynamic_cast<const ReliableProcess*>(eng.process(slot));
-  EXPECT_NE(rel, nullptr);
-  return dynamic_cast<const Courier*>(rel->inner());
+  return unwrap<Courier>(eng.process(slot));
 }
 
 TEST(Reliable, FramesBillTheHeaderAndTheInnerSeesItsOwnBits) {
@@ -94,15 +95,17 @@ TEST(Reliable, FramesBillTheHeaderAndTheInnerSeesItsOwnBits) {
   static_assert(kReliableHeaderBits == 72);
   EngineConfig cfg;
   cfg.seed = 9;
-  cfg.trace_limit = 16;
   const CourierRun run = run_courier(cfg, 1, ReliableConfig{});
   const RunResult& res = run.eng->result();
   EXPECT_TRUE(res.completed);
   EXPECT_EQ(res.messages, 2u);
   EXPECT_EQ(res.bits, (64u + 72u) + 72u);
   std::vector<std::string> sends;
-  for (const TraceEvent& ev : run.eng->trace())
-    if (ev.kind == TraceEvent::Kind::Send) sends.push_back(flat_debug_string(ev.msg));
+  for_each_event(*run.eng, [&sends](const TraceEvent& ev) {
+    if (ev.kind == TraceEvent::Kind::Send)
+      sends.push_back(flat_debug_string(ev.msg));
+    return true;
+  });
   ASSERT_EQ(sends.size(), 2u);
   EXPECT_EQ(sends[1], flat_debug_string(FlatMsg{kReliableAckType,
                                                 kReliableAckChannel}));
@@ -126,7 +129,7 @@ TEST(Reliable, FaultFreeDeliveryIsExactlyOnceFifoWithHeaderBilling) {
   // Every data frame pays the ARQ header on top of the 64-bit payload; the
   // total also covers whatever standalone acks the idle tail needed.
   EXPECT_GE(res.bits, 5 * (64u + kReliableHeaderBits));
-  const auto* tx = dynamic_cast<const ReliableProcess*>(run.eng->process(0));
+  const auto* tx = unwrap<ReliableProcess>(run.eng->process(0));
   ASSERT_NE(tx, nullptr);
   EXPECT_EQ(tx->retransmissions(), 0u);  // nothing lost, nothing re-sent
 }
@@ -155,8 +158,8 @@ TEST(Reliable, ExactlyOnceFifoUnderDropDupReorder) {
   // Duplicates eaten and frames parked for reordering are separate stories
   // (a park is NOT a drop — it is delivered later), so they are counted
   // separately; under this mixed fault mask both kinds of work happen.
-  const auto* tx = dynamic_cast<const ReliableProcess*>(run.eng->process(0));
-  const auto* rxw = dynamic_cast<const ReliableProcess*>(run.eng->process(1));
+  const auto* tx = unwrap<ReliableProcess>(run.eng->process(0));
+  const auto* rxw = unwrap<ReliableProcess>(run.eng->process(1));
   ASSERT_NE(tx, nullptr);
   ASSERT_NE(rxw, nullptr);
   EXPECT_GT(tx->retransmissions(), 0u);
@@ -182,7 +185,7 @@ TEST(Reliable, DuplicationAloneCountsDuplicatesNotParks) {
   const Courier* rx = inner_courier(*run.eng, 1);
   ASSERT_NE(rx, nullptr);
   EXPECT_EQ(rx->got, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6, 7}));
-  const auto* rxw = dynamic_cast<const ReliableProcess*>(run.eng->process(1));
+  const auto* rxw = unwrap<ReliableProcess>(run.eng->process(1));
   ASSERT_NE(rxw, nullptr);
   EXPECT_GT(rxw->duplicate_drops(), 0u);
   EXPECT_EQ(rxw->parked_frames(), 0u);
@@ -205,8 +208,8 @@ TEST(Reliable, RunsAreDeterministicAcrossIdenticalReruns) {
   EXPECT_EQ(a.eng->result().messages, b.eng->result().messages);
   EXPECT_EQ(a.eng->result().bits, b.eng->result().bits);
   EXPECT_EQ(a.eng->result().node_steps, b.eng->result().node_steps);
-  const auto* ta = dynamic_cast<const ReliableProcess*>(a.eng->process(0));
-  const auto* tb = dynamic_cast<const ReliableProcess*>(b.eng->process(0));
+  const auto* ta = unwrap<ReliableProcess>(a.eng->process(0));
+  const auto* tb = unwrap<ReliableProcess>(b.eng->process(0));
   EXPECT_EQ(ta->retransmissions(), tb->retransmissions());
 }
 
@@ -228,7 +231,7 @@ TEST(Reliable, GiveUpRestoresQuiescenceUnderTotalLoss) {
   const Courier* rx = inner_courier(*run.eng, 1);
   ASSERT_NE(rx, nullptr);
   EXPECT_TRUE(rx->got.empty());
-  const auto* tx = dynamic_cast<const ReliableProcess*>(run.eng->process(0));
+  const auto* tx = unwrap<ReliableProcess>(run.eng->process(0));
   ASSERT_NE(tx, nullptr);
   // Exactly the ladder, go-back-all: each of the max_retries timeouts
   // resends the whole 3-frame queue, then silence.
@@ -360,7 +363,7 @@ TEST(Reliable, SendsAfterLinkDeathHealTheLink) {
   });
   const RunResult& res = eng.run();
   EXPECT_TRUE(res.completed);
-  const auto* tx = dynamic_cast<const ReliableProcess*>(eng.process(0));
+  const auto* tx = unwrap<ReliableProcess>(eng.process(0));
   ASSERT_NE(tx, nullptr);
   EXPECT_EQ(tx->dead_links(), 2u);       // died, healed, died again
   EXPECT_EQ(tx->healed_links(), 1u);
@@ -459,8 +462,8 @@ TEST(Reliable, HealingMidBurstDropsStaleEpochFramesWithoutResequencing) {
   const RunResult& res = eng.run();
   EXPECT_TRUE(res.completed);
 
-  const auto* tx = dynamic_cast<const ReliableProcess*>(eng.process(0));
-  const auto* rxw = dynamic_cast<const ReliableProcess*>(eng.process(1));
+  const auto* tx = unwrap<ReliableProcess>(eng.process(0));
+  const auto* rxw = unwrap<ReliableProcess>(eng.process(1));
   ASSERT_NE(tx, nullptr);
   ASSERT_NE(rxw, nullptr);
   // First epoch dies in the pause, heals at the resume; the tail of the

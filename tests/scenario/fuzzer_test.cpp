@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "scenario/fuzzer.hpp"
 #include "scenario/registry.hpp"
@@ -274,6 +277,76 @@ TEST(Fuzzer, CatchesALivenessBug) {
       liveness = liveness || v.rfind("liveness", 0) == 0;
     EXPECT_TRUE(liveness) << f.minimal.encode();
   }
+}
+
+/// Elects slot 0 and sends twice on port 0 in its wake round: correct in
+/// every respect but CONGEST's one message per edge per round.
+class DoubleSender final : public Process {
+ public:
+  void on_wake(Context& ctx, std::span<const Envelope>) override {
+    FlatMsg m;
+    m.type = 1;
+    m.channel = 200;
+    m.bits = wire::kIdField;
+    ctx.send(0, m);
+    ctx.send(0, m);
+    ctx.set_status(ctx.slot() == 0 ? Status::Elected : Status::NonElected);
+    ctx.halt();
+  }
+  void on_round(Context&, std::span<const Envelope>) override {}
+};
+
+/// Elects slot 0, then sends on every port each round until the whole
+/// network has sent twice the registered 64 + 16m message envelope — one
+/// message per port per round, inside the round envelope.  Needs m.
+class Padder final : public Process {
+ public:
+  void on_wake(Context& ctx, std::span<const Envelope> inbox) override {
+    ctx.set_status(ctx.slot() == 0 ? Status::Elected : Status::NonElected);
+    const std::uint64_t m = ctx.knowledge().m.value();
+    rounds_ = (2 * (64 + 16 * m) + 2 * m - 1) / (2 * m);  // 2m sends a round
+    on_round(ctx, inbox);
+  }
+  void on_round(Context& ctx, std::span<const Envelope>) override {
+    if (rounds_-- == 0) return ctx.halt();
+    FlatMsg m;
+    m.type = 1;
+    m.channel = 200;
+    m.bits = wire::kIdField;
+    ctx.broadcast(m);
+  }
+
+ private:
+  std::uint64_t rounds_ = 0;
+};
+
+/// The violations of one fault-free run of `proto` on ring(16), n, m and D
+/// known.
+std::vector<std::string> ring_violations(
+    const char* proto, std::function<std::unique_ptr<Process>()> make) {
+  Scenario s;
+  s.family = "ring";
+  s.params = {{"n", 16}};
+  s.protocol = proto;
+  s.knowledge = KnowledgeGrant::NMD;
+  return run_scenario(registry_with(proto, std::move(make)),
+                      default_families(), s)
+      .violations;
+}
+
+TEST(Fuzzer, CatchesACongestBug) {
+  const std::vector<std::string> v = ring_violations(
+      "double_sender", [] { return std::make_unique<DoubleSender>(); });
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0], "congest: 16 violations");
+}
+
+TEST(Fuzzer, CatchesAMessageBudgetOverrun) {
+  // 64 + 16m = 320 messages registered; the padder sends 2 x 320 = 640.
+  const std::vector<std::string> v =
+      ring_violations("padder", [] { return std::make_unique<Padder>(); });
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0], "budget: 640 messages > envelope 320");
 }
 
 TEST(Fuzzer, TimeBudgetStopsTheLoop) {
